@@ -11,12 +11,14 @@ regenerate A: the block assembly of (a, b, c, d) equals A, and the diagonal
 corners are nonnegative selfadjoint within their component spaces.  The
 off-diagonal corners are controlled by one contraction: partial isometries
 V1, V2 identify the roots of the diagonal corners with the root of A's
-operator part, f = V1* V2 is a contraction between the domain closures, and
+operator part, g = V1* V2 is a contraction from S-perp into S that vanishes
+on M2, and
 
-    b = a^(1/2) g d^(1/2)|_D2,   c = d^(1/2) g* a^(1/2)|_D1,
+    b = a^(1/2) g d^(1/2)|_D2,   c = d^(1/2) g* a^(1/2)|_D1.
 
-where g extends f by zero on M2.  This module computes all of those objects
-numerically and records the residuals of every identity it relies on.
+Its defect root Dg = (1 - g* g)^(1/2) on S-perp is the identity on M2.  This
+module computes all of those objects numerically and records the residuals
+of every identity it relies on.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from . import kernel
 from .errors import ComponentMismatchError, InternalInconsistencyError
 from .kernel import DEFAULT_TOL, Tolerances
-from .nonneg import NonnegSelfAdjointRelation, friedrichs
+from .nonneg import NonnegSelfAdjointRelation, validate
 from .relation import LinearRelation, mul_only
 from .subspace import Subspace, require_invariant
 
@@ -40,11 +42,10 @@ class BlockRepresentation:
     """All structure extracted from one (relation, subspace) pair.
 
     Subspaces: ``s`` and its complement split the domain into ``d1, d2``, the
-    multivalued part into ``m1, m2``; ``n1, n2`` are the domain-slice
-    closures (equal to the slices here).  Corner relations ``a, b, c, d``
-    live in the ambient space with graphs inside the component products.
+    multivalued part into ``m1, m2``.  Corner relations ``a, b, c, d`` live
+    in the ambient space with graphs inside the component products.
     Coordinate blocks ``a0, b0, c0, d0`` express A's operator part in the
-    bases of ``n1`` and ``n2``.  The matrices ``v1, v2, f, g, df, dg`` are
+    bases of ``d1`` and ``d2``.  The matrices ``v1, v2, g, dg`` are
     ambient-sized, supported on the component subspaces.
     """
 
@@ -55,8 +56,6 @@ class BlockRepresentation:
     d2: Subspace
     m1: Subspace
     m2: Subspace
-    n1: Subspace
-    n2: Subspace
     a: LinearRelation
     b: LinearRelation
     c: LinearRelation
@@ -67,12 +66,8 @@ class BlockRepresentation:
     d0: np.ndarray
     v1: np.ndarray
     v2: np.ndarray
-    f: np.ndarray
     g: np.ndarray
-    df: np.ndarray
     dg: np.ndarray
-    a_diag: NonnegSelfAdjointRelation
-    d_diag: NonnegSelfAdjointRelation
     a_sqrt: LinearRelation
     d_sqrt: LinearRelation
     a0_sqrt: np.ndarray
@@ -175,13 +170,12 @@ def analyze(a_rel: NonnegSelfAdjointRelation, s: Subspace,
     d2 = sp.intersect(big.dom, tol)
     m1 = s.intersect(big.mul, tol)
     m2 = sp.intersect(big.mul, tol)
-    n1, n2 = d1, d2
 
     diagnostics = {
         "dom_split": d1.add(d2, tol).gap(big.dom),
         "mul_split": m1.add(m2, tol).gap(big.mul),
-        "s_split": n1.add(m1, tol).gap(s),
-        "s_perp_split": n2.add(m2, tol).gap(sp),
+        "s_split": d1.add(m1, tol).gap(s),
+        "s_perp_split": d2.add(m2, tol).gap(sp),
     }
 
     ps = LinearRelation.from_matrix(s.projector, tol)
@@ -193,17 +187,12 @@ def analyze(a_rel: NonnegSelfAdjointRelation, s: Subspace,
     c = psp.compose(restricted_s, tol)
     d = psp.compose(restricted_sp, tol)
 
-    # diagonal corners are nonnegative selfadjoint within their components;
-    # route through the Friedrichs extension, a no-op here, to pin that down
-    a_diag = friedrichs(a.compress_to(s, s, tol), tol)
-    d_diag = friedrichs(d.compress_to(sp, sp, tol), tol)
-    a_f = a_diag.rel.embed_from(s, s)
-    d_f = d_diag.rel.embed_from(sp, sp)
-    diagnostics["a_friedrichs"] = a_f.graph_gap(a)
-    diagnostics["d_friedrichs"] = d_f.graph_gap(d)
+    # diagonal corners are nonnegative selfadjoint within their components
+    a_diag = validate(a.compress_to(s, s, tol), tol)
+    d_diag = validate(d.compress_to(sp, sp, tol), tol)
 
     op_amb = big.op_ambient
-    b1, b2 = n1.basis, n2.basis
+    b1, b2 = d1.basis, d2.basis
     a0 = b1.conj().T @ op_amb @ b1
     b0 = b1.conj().T @ op_amb @ b2
     c0 = b2.conj().T @ op_amb @ b1
@@ -220,23 +209,18 @@ def analyze(a_rel: NonnegSelfAdjointRelation, s: Subspace,
     diagnostics["v1_intertwines"] = kernel.opnorm((v1 @ a0_sqrt - root_amb) @ b1)
     diagnostics["v2_intertwines"] = kernel.opnorm((v2 @ d0_sqrt - root_amb) @ b2)
 
-    f = v1.conj().T @ v2
-    g = f.copy()
-    fc = b1.conj().T @ f @ b2
-    df_c = kernel.psd_sqrt(np.eye(n2.dim, dtype=np.complex128) - fc.conj().T @ fc, tol)
-    df = b2 @ df_c @ b2.conj().T
+    g = v1.conj().T @ v2
     gc = s.basis.conj().T @ g @ sp.basis
     dg_c = kernel.psd_sqrt(np.eye(sp.dim, dtype=np.complex128) - gc.conj().T @ gc, tol)
     dg = sp.basis @ dg_c @ sp.basis.conj().T
-    diagnostics["f_norm_excess"] = max(0.0, kernel.opnorm(f) - 1.0)
     diagnostics["g_norm_excess"] = max(0.0, kernel.opnorm(g) - 1.0)
 
     rep = BlockRepresentation(
-        relation=big, s=s, s_perp=sp, d1=d1, d2=d2, m1=m1, m2=m2, n1=n1, n2=n2,
-        a=a_f, b=b, c=c, d=d_f, a0=a0, b0=b0, c0=c0, d0=d0,
-        v1=v1, v2=v2, f=f, g=g, df=df, dg=dg,
-        a_diag=a_diag, d_diag=d_diag, a_sqrt=a_sqrt, d_sqrt=d_sqrt,
-        a0_sqrt=a0_sqrt, d0_sqrt=d0_sqrt, tol=tol, diagnostics=diagnostics,
+        relation=big, s=s, s_perp=sp, d1=d1, d2=d2, m1=m1, m2=m2,
+        a=a_diag.rel.embed_from(s, s), b=b, c=c, d=d_diag.rel.embed_from(sp, sp),
+        a0=a0, b0=b0, c0=c0, d0=d0, v1=v1, v2=v2, g=g, dg=dg,
+        a_sqrt=a_sqrt, d_sqrt=d_sqrt, a0_sqrt=a0_sqrt, d0_sqrt=d0_sqrt,
+        tol=tol, diagnostics=diagnostics,
     )
 
     assembled = assemble(rep.a, rep.b, rep.c, rep.d, s, tol)
@@ -275,7 +259,7 @@ def operator_block(rep: BlockRepresentation,
     representation's diagnostics.
     """
     tol = tol or rep.tol
-    b1, b2 = rep.n1.basis, rep.n2.basis
+    b1, b2 = rep.d1.basis, rep.d2.basis
 
     def split_gap(corner, block, dom, out_frame, in_frame, mul_slice):
         images = out_frame @ block @ in_frame.conj().T @ dom.basis
@@ -306,8 +290,8 @@ def factorize(rep: BlockRepresentation,
     """Column-operator factorization A = (W Z)* (W Z).
 
     Z is the diagonal relation acting as the root of a0 on D1 and the root of
-    d0 on D2; W is the upper-triangular matrix with identity on N1, the
-    contraction f in the corner and the defect root of f on N2.  The product
+    d0 on D2; W is the upper-triangular matrix with identity on D1, the
+    contraction g in the corner and the defect root Dg on D2.  The product
     of the adjoint flips reproduces A; the residual is recorded and enforced.
     """
     tol = tol or rep.tol
@@ -316,7 +300,7 @@ def factorize(rep: BlockRepresentation,
     z = LinearRelation.from_images_and_mul(
         big.dom, m_z @ big.dom.basis, Subspace.zero(big.dim), tol=tol
     )
-    w = rep.n1.projector + rep.f + rep.df
+    w = rep.d1.projector + rep.g + rep.dg @ rep.d2.projector
     wz = LinearRelation.from_matrix(w, tol).compose(z, tol)
     product = wz.adjoint().compose(wz, tol)
     gap = product.graph_gap(big.rel)

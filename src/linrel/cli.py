@@ -136,8 +136,7 @@ def _cmd_block(args, tol: Tolerances) -> int:
         lines += _relation_lines(getattr(rep, label), f"block {label}")
     lines.append(
         "components: "
-        f"d1={rep.d1.dim} d2={rep.d2.dim} m1={rep.m1.dim} m2={rep.m2.dim} "
-        f"n1={rep.n1.dim} n2={rep.n2.dim}"
+        f"d1={rep.d1.dim} d2={rep.d2.dim} m1={rep.m1.dim} m2={rep.m2.dim}"
     )
     lines += _diagnostic_lines(obj["diagnostics"])
     _emit(args, obj, lines)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel
-from .block import BlockRepresentation, analyze, assemble
+from .block import BlockRepresentation, analyze
 from .errors import (
     ConditionViolatedError,
     DimensionMismatchError,
@@ -99,13 +99,12 @@ def schur_analysis(a_rel: NonnegSelfAdjointRelation, s: Subspace,
     """
     tol = tol or a_rel.tol
     rep = analyze(a_rel, s, tol)
-    n = a_rel.dim
     sp = rep.s_perp
     diag: dict = {}
 
     # far block: T = Dg d^{1/2}, then T* T computed in S-perp coordinates
     t_rel = LinearRelation.from_matrix(rep.dg, tol).compose(rep.d_sqrt, tol)
-    t_op = rep.df @ rep.d0_sqrt
+    t_op = rep.dg @ rep.d0_sqrt
     t_c = t_rel.compress_to(sp, sp, tol)
     tt_c, tt_diag = gram_with_diagnostics(t_c, tol)
     worst_tt = max(tt_diag.values()) if tt_diag else 0.0
@@ -116,18 +115,15 @@ def schur_analysis(a_rel: NonnegSelfAdjointRelation, s: Subspace,
         )
     tt = tt_c.rel.embed_from(sp, sp)
 
-    # alternative expression: d0^{1/2} Df (Df d0^{1/2} on the far slice),
+    # alternative expression: d0^{1/2} Dg (Dg d0^{1/2} on the far slice),
     # componentwise-summed with the pure multivalued part over M2
     alt_inner = LinearRelation.from_matrix(t_op, tol).restrict(rep.d2, tol)
-    alt_outer = LinearRelation.from_matrix(rep.d0_sqrt @ rep.df, tol)
+    alt_outer = LinearRelation.from_matrix(rep.d0_sqrt @ rep.dg, tol)
     alt = alt_outer.compose(alt_inner, tol).cw_sum(mul_only(rep.m2), tol)
     diag["far_gram_alt_gap"] = float(tt.graph_gap(alt))
 
     # complement: zero on S everywhere, T* T on the far block
-    zero_near = zero_operator_on(rep.s)
-    zero_off = zero_operator_on(sp)
-    schur_raw = assemble(zero_near, zero_off, zero_near, tt, rep.s, tol)
-    schur = validate(schur_raw, tol)
+    schur = validate(tt.cw_sum(zero_operator_on(rep.s), tol), tol)
     diag["schur_ran_outside_far"] = float(sp.containment_defect(schur.rel.ran))
     ok, below = leq_report(schur, a_rel, tol)
     diag["schur_below_defect"] = float(below)

@@ -220,7 +220,6 @@ def dump_block_representation(rep) -> dict:
         "b": dump_relation(rep.b),
         "c": dump_relation(rep.c),
         "d": dump_relation(rep.d),
-        "f": dump_matrix(rep.f),
         "g": dump_matrix(rep.g),
         "v1": dump_matrix(rep.v1),
         "v2": dump_matrix(rep.v2),
@@ -229,8 +228,6 @@ def dump_block_representation(rep) -> dict:
         "d2": dump_subspace(rep.d2),
         "m1": dump_subspace(rep.m1),
         "m2": dump_subspace(rep.m2),
-        "n1": dump_subspace(rep.n1),
-        "n2": dump_subspace(rep.n2),
         "diagnostics": dump_diagnostics(rep.diagnostics),
     }
 

@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 from . import serialize
-from .block import analyze, factorize, reconstruct_b, reconstruct_c
+from .block import factorize, reconstruct_b, reconstruct_c
 from .errors import LinRelError
 from .generator import InstanceSpec, generate, random_relation, rng_for
 from .kernel import DEFAULT_TOL, Tolerances
-from .nonneg import gram_with_diagnostics, leq_report
+from .nonneg import gram_with_diagnostics
 from .schur import (
     additive_decomposition,
     is_member,
@@ -149,15 +149,14 @@ def _general_relation_checks(t, tol: Tolerances) -> list:
 
 def _instance_checks(a, s, probe_seed: int, samples: int,
                      tol: Tolerances) -> list:
-    rep = analyze(a, s, tol)
     res = schur_analysis(a, s, tol)
+    rep = res.rep
 
     def roundtrip():
         return rep.diagnostics["assemble_roundtrip"]
 
     def contraction():
-        return max(rep.diagnostics["f_norm_excess"],
-                   rep.diagnostics["g_norm_excess"])
+        return rep.diagnostics["g_norm_excess"]
 
     def reconstruction():
         return max(reconstruct_b(rep, tol).graph_gap(rep.b),
@@ -169,9 +168,8 @@ def _instance_checks(a, s, probe_seed: int, samples: int,
 
     def membership():
         member = is_member(a, s, res.schur, tol)
-        ran_defect = s.complement().containment_defect(res.schur.rel.ran)
-        _, below = leq_report(res.schur, a, tol)
-        residual = max(ran_defect, below)
+        residual = max(res.diagnostics["schur_ran_outside_far"],
+                       res.diagnostics["schur_below_defect"])
         # a residual under tolerance must agree with the membership verdict
         return residual if member else max(residual, 2 * tol.eq_abs)
 
@@ -187,8 +185,7 @@ def _instance_checks(a, s, probe_seed: int, samples: int,
                    res.diagnostics["compression_alt_gap"])
 
     def domination():
-        _, below = leq_report(res.compression, a, tol)
-        return below
+        return res.diagnostics["compression_below_defect"]
 
     def additive():
         ad = additive_decomposition(a, s, tol, result=res)

@@ -7,7 +7,6 @@ block and Schur analyses once keeps the whole run fast.
 
 import pytest
 
-from linrel.block import analyze
 from linrel.generator import InstanceSpec, generate, random_relation, rng_for
 from linrel.kernel import DEFAULT_TOL
 from linrel.schur import schur_analysis
@@ -44,11 +43,12 @@ def battery():
 
 @pytest.fixture(scope="session")
 def battery_analyses(battery):
-    """The battery with block and Schur analyses attached."""
-    return [
-        (spec, a, s, analyze(a, s, DEFAULT_TOL), schur_analysis(a, s, DEFAULT_TOL))
-        for spec, a, s in battery
-    ]
+    """The battery with Schur analyses and the block analyses they used."""
+    analyses = []
+    for spec, a, s in battery:
+        res = schur_analysis(a, s, DEFAULT_TOL)
+        analyses.append((spec, a, s, res.rep, res))
+    return analyses
 
 
 @pytest.fixture(scope="session")

@@ -74,7 +74,7 @@ def test_analyze_identity():
     assert rep.m1.dim == 0 and rep.m2.dim == 0
     assert np.allclose(rep.a0, [[1.0]]) and np.allclose(rep.d0, [[1.0]])
     assert np.allclose(rep.b0, [[0.0]]) and np.allclose(rep.c0, [[0.0]])
-    assert np.allclose(rep.f, np.zeros((2, 2)), atol=1e-12)
+    assert np.allclose(rep.g, np.zeros((2, 2)), atol=1e-12)
 
 
 def test_analyze_dense_matrix_contraction():
@@ -93,7 +93,6 @@ def test_analyze_with_mul():
     assert rep.d2.dim == 0
     assert rep.m1.dim == 0
     assert rep.m2.equals(SPAN_E2)
-    assert rep.n2.dim == 0
     assert np.allclose(rep.g, np.zeros((2, 2)), atol=1e-12)
     # the S-side corner is 1 on span{e1}; the far corner is pure mul
     assert rep.a.equals(_op_on(SPAN_E1, [[1.0], [0.0]]))
@@ -138,7 +137,7 @@ def test_factorize_dense_matrix():
 def test_factorize_block_diagonal():
     a = validate(LinearRelation.from_matrix(np.diag([3.0, 7.0]).astype(complex)))
     rep = analyze(a, SPAN_E1)
-    assert np.allclose(rep.f, np.zeros((2, 2)), atol=1e-12)
+    assert np.allclose(rep.g, np.zeros((2, 2)), atol=1e-12)
     w, z = factorize(rep)
     assert np.allclose(w, np.eye(2), atol=1e-12)
     assert z.equals(LinearRelation.from_matrix(np.diag([np.sqrt(3.0), np.sqrt(7.0)])))
@@ -154,10 +153,9 @@ def test_analyze_requires_invariance():
 def test_block_invariants_on_battery(battery_analyses):
     for _, a, s, rep, _ in battery_analyses[:30]:
         assert rep.diagnostics["assemble_roundtrip"] < 1e-8
-        assert rep.diagnostics["f_norm_excess"] <= 1e-10
         assert rep.diagnostics["g_norm_excess"] <= 1e-10
-        # N1 is the domain slice inside S and mul is projection invariant
-        assert rep.n1.equals(s.intersect(a.dom))
+        # D1 is the domain slice inside S and mul is projection invariant
+        assert rep.d1.equals(s.intersect(a.dom))
         assert a.mul.contains(a.mul.apply(s.projector))
         # the c corner is the component adjoint of the b corner
         assert rep.b.adjoint_between(rep.s_perp, rep.s).includes(rep.c)
