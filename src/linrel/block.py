@@ -163,16 +163,15 @@ def analyze(a_rel: NonnegSelfAdjointRelation, s: Subspace,
     n = big.dim
     if s.ambient_dim != n:
         raise ComponentMismatchError("subspace must live in the relation's space")
-    require_invariant(big.dom, s, tol)
+    invariance = require_invariant(big.dom, s, tol)
     sp = s.complement()
 
-    d1 = s.intersect(big.dom, tol)
-    d2 = sp.intersect(big.dom, tol)
+    d1, d2 = invariance.slices
     m1 = s.intersect(big.mul, tol)
     m2 = sp.intersect(big.mul, tol)
 
     diagnostics = {
-        "dom_split": d1.add(d2, tol).gap(big.dom),
+        "dom_split": invariance.residuals[1],
         "mul_split": m1.add(m2, tol).gap(big.mul),
         "s_split": d1.add(m1, tol).gap(s),
         "s_perp_split": d2.add(m2, tol).gap(sp),
@@ -233,24 +232,23 @@ def analyze(a_rel: NonnegSelfAdjointRelation, s: Subspace,
     return rep
 
 
-def reconstruct_b(rep: BlockRepresentation, tol: Tolerances | None = None) -> LinearRelation:
+def reconstruct_b(rep: BlockRepresentation) -> LinearRelation:
     """The relation a^(1/2) g d^(1/2)|_D2, which must equal corner b."""
-    tol = tol or rep.tol
+    tol = rep.tol
     g_rel = LinearRelation.from_matrix(rep.g, tol)
     chain = g_rel.compose(rep.d_sqrt.restrict(rep.d2, tol), tol)
     return rep.a_sqrt.compose(chain, tol)
 
 
-def reconstruct_c(rep: BlockRepresentation, tol: Tolerances | None = None) -> LinearRelation:
+def reconstruct_c(rep: BlockRepresentation) -> LinearRelation:
     """The relation d^(1/2) g* a^(1/2)|_D1, which must equal corner c."""
-    tol = tol or rep.tol
+    tol = rep.tol
     gstar_rel = LinearRelation.from_matrix(rep.g.conj().T, tol)
     chain = gstar_rel.compose(rep.a_sqrt.restrict(rep.d1, tol), tol)
     return rep.d_sqrt.compose(chain, tol)
 
 
-def operator_block(rep: BlockRepresentation,
-                   tol: Tolerances | None = None) -> tuple[np.ndarray, ...]:
+def operator_block(rep: BlockRepresentation) -> tuple[np.ndarray, ...]:
     """Coordinate blocks of A's operator part, with decomposition checks.
 
     Verifies that each corner splits into its single-valued part plus the
@@ -258,7 +256,7 @@ def operator_block(rep: BlockRepresentation,
     {0} x M2.  Returns (a0, b0, c0, d0); residuals are stored in the
     representation's diagnostics.
     """
-    tol = tol or rep.tol
+    tol = rep.tol
     b1, b2 = rep.d1.basis, rep.d2.basis
 
     def split_gap(corner, block, dom, out_frame, in_frame, mul_slice):
@@ -285,8 +283,7 @@ def operator_block(rep: BlockRepresentation,
     return rep.a0, rep.b0, rep.c0, rep.d0
 
 
-def factorize(rep: BlockRepresentation,
-              tol: Tolerances | None = None) -> tuple[np.ndarray, LinearRelation]:
+def factorize(rep: BlockRepresentation) -> tuple[np.ndarray, LinearRelation]:
     """Column-operator factorization A = (W Z)* (W Z).
 
     Z is the diagonal relation acting as the root of a0 on D1 and the root of
@@ -294,7 +291,7 @@ def factorize(rep: BlockRepresentation,
     contraction g in the corner and the defect root Dg on D2.  The product
     of the adjoint flips reproduces A; the residual is recorded and enforced.
     """
-    tol = tol or rep.tol
+    tol = rep.tol
     big = rep.relation
     m_z = rep.a0_sqrt + rep.d0_sqrt
     z = LinearRelation.from_images_and_mul(

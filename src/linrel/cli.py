@@ -149,7 +149,7 @@ def _cmd_schur(args, tol: Tolerances) -> int:
     res = schur_analysis(a, s, tol)
     diagnostics = serialize.dump_diagnostics(res.diagnostics)
 
-    pk = pekarev(a, s, tol, result=res)
+    pk = pekarev(res)
     diagnostics["pekarev_schur_gap"] = pk.diagnostics["schur_gap"]
     diagnostics["pekarev_compression_gap"] = pk.diagnostics["compression_gap"]
     diagnostics["pekarev_condition_residuals"] = [

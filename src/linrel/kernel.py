@@ -2,10 +2,10 @@
 
 All numerical rank decisions in the package go through this module and use a
 single policy: a singular value counts as nonzero when it exceeds
-``rank_rel * sigma_max``.  Equality of subspaces and relations is judged by
-projector gap against the absolute tolerance ``eq_abs``.  Keeping both knobs
-in one :class:`Tolerances` object and threading it through every operation is
-what makes results reproducible across the whole pipeline.
+``rank_rel * max(sigma_max, 1)``.  Equality of subspaces and relations is
+judged by projector gap against the absolute tolerance ``eq_abs``.  Keeping
+both knobs in one :class:`Tolerances` object and threading it through every
+operation is what makes results reproducible across the whole pipeline.
 
 Matrices are plain numpy arrays in complex double precision; real input is
 promoted on entry.  Zero-sized matrices (0 rows or 0 columns) are legal

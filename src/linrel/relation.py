@@ -146,10 +146,6 @@ class LinearRelation:
         vecs = self._gin @ coeff
         return Subspace(self.dim_in, kernel.orthonormal_columns(vecs, self._tol))
 
-    def is_operator(self) -> bool:
-        """True when the multivalued part is trivial."""
-        return self.mul.dim == 0
-
     def __repr__(self):
         return (
             f"LinearRelation(dim_in={self.dim_in}, dim_out={self.dim_out}, "
@@ -232,15 +228,6 @@ class LinearRelation:
         multivalued part.
         """
         return self.restrict(s, tol).ran
-
-    def scale_output(self, c: complex, tol: Tolerances = DEFAULT_TOL) -> "LinearRelation":
-        """Relation of pairs (x, c*y).  For c = 0 this collapses to the zero
-        operator on the domain and forgets the multivalued part."""
-        g = self.graph.basis.copy()
-        g[self.dim_in:] *= c
-        basis = kernel.orthonormal_columns(g, tol)
-        return LinearRelation(self.dim_in, self.dim_out,
-                              Subspace(self.dim_in + self.dim_out, basis), tol=tol)
 
     # -- comparisons ---------------------------------------------------------
 
@@ -370,10 +357,6 @@ class OperatorPartDecomposition:
 
     def reassemble(self, tol: Tolerances = DEFAULT_TOL) -> LinearRelation:
         return LinearRelation.from_images_and_mul(self.domain, self.images, self.mul, tol=tol)
-
-    def ambient_matrix(self) -> np.ndarray:
-        """The operator extended by zero off the domain, as a full matrix."""
-        return self.images @ self.domain.basis.conj().T
 
     def compressed(self) -> np.ndarray:
         """Matrix of the operator part in the domain basis coordinates.

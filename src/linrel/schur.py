@@ -25,6 +25,7 @@ everywhere-defined PSD matrices as a fully independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -68,25 +69,29 @@ __all__ = [
 class SchurResult:
     """Complement, compression, and the data connecting them.
 
-    ``t_rel`` is the relation whose Gram product gives the far block of the
-    complement; ``t_op`` is its single-valued part as an ambient matrix.
-    ``row`` plays the same role for the compression, with ``s_op`` its
-    single-valued part.  ``l_space`` is the closure of the image of the near
-    domain slice under the root of A, intersected with dom(A); the projection
-    formula pivots on it.  ``diagnostics`` holds the residuals of every
-    identity checked during construction.
+    ``rep`` is the block analysis of A over S; its ``relation``, ``s`` and
+    ``tol`` are the inputs every consumer of this result reads.
+    ``l_space`` is the closure of the image of the near domain slice under
+    the root of A, intersected with dom(A); the projection formula pivots on
+    it.  ``diagnostics`` holds the residuals of every identity checked
+    during construction.
     """
 
     rep: BlockRepresentation
-    t_rel: LinearRelation
-    t_op: np.ndarray
     schur: NonnegSelfAdjointRelation
     compression: NonnegSelfAdjointRelation
-    row: LinearRelation
-    s_op: np.ndarray
     l_space: Subspace
-    tol: Tolerances
     diagnostics: dict = field(default_factory=dict)
+
+    @cached_property
+    def projected_root_image_defect(self) -> float:
+        """How far P_L of the root's image over dom(A) sticks out of dom(root)."""
+        a_rel, tol = self.rep.relation, self.rep.tol
+        sqrt_rel = a_rel.sqrt().rel
+        image = sqrt_rel.image(a_rel.dom, tol)
+        projected = Subspace(a_rel.dim, kernel.orthonormal_columns(
+            self.l_space.projector @ image.basis, tol))
+        return float(sqrt_rel.dom.containment_defect(projected))
 
 
 def schur_analysis(a_rel: NonnegSelfAdjointRelation, s: Subspace,
@@ -171,9 +176,8 @@ def schur_analysis(a_rel: NonnegSelfAdjointRelation, s: Subspace,
     diag["l_projector_gap"] = float(
         kernel.opnorm(l_space.projector - rep.v1 @ rep.v1.conj().T))
 
-    return SchurResult(rep=rep, t_rel=t_rel, t_op=t_op, schur=schur,
-                       compression=compression, row=row, s_op=s_op,
-                       l_space=l_space, tol=tol, diagnostics=diag)
+    return SchurResult(rep=rep, schur=schur, compression=compression,
+                       l_space=l_space, diagnostics=diag)
 
 
 def schur_complement(a_rel: NonnegSelfAdjointRelation, s: Subspace,
@@ -220,23 +224,19 @@ class MaximalityReport:
         return not self.violations
 
 
-def maximality_probe(a_rel: NonnegSelfAdjointRelation, s: Subspace,
-                     result: SchurResult | None = None, *, seed: int = 0,
-                     samples: int = 20,
-                     tol: Tolerances | None = None) -> MaximalityReport:
+def maximality_probe(res: SchurResult, *, seed: int = 0,
+                     samples: int = 20) -> MaximalityReport:
     """Sample candidate members and check each against the complement.
 
     Even samples scale the complement's single-valued part by a factor in
     [0, 1], so they are members by construction and must stay below the
     complement.  Odd samples draw a random PSD matrix supported on the
-    complement of ``s`` and are filtered through :func:`is_member`; every
+    complement of S and are filtered through :func:`is_member`; every
     accepted one must also sit below the complement in the form order.
     """
-    tol = tol or a_rel.tol
-    if result is None:
-        result = schur_analysis(a_rel, s, tol)
-    sp = result.rep.s_perp
-    schur = result.schur
+    a_rel, s, tol = res.rep.relation, res.rep.s, res.rep.tol
+    sp = res.rep.s_perp
+    schur = res.schur
     scale_cap = float(kernel.opnorm(a_rel.op_compressed)) + 1.0
 
     members = 0
@@ -264,23 +264,13 @@ def maximality_probe(a_rel: NonnegSelfAdjointRelation, s: Subspace,
                             violations=tuple(violations), worst_defect=worst)
 
 
-def _projected_root_image_defect(a_rel: NonnegSelfAdjointRelation,
-                                 l_space: Subspace, sqrt_rel: LinearRelation,
-                                 tol: Tolerances) -> float:
-    """How far P_L of the root's image over dom(A) sticks out of dom(root)."""
-    image = sqrt_rel.image(a_rel.dom, tol)
-    projected = Subspace(a_rel.dim,
-                         kernel.orthonormal_columns(l_space.projector @ image.basis, tol))
-    return float(sqrt_rel.dom.containment_defect(projected))
-
-
 @dataclass
 class PekarevResult:
     """Complement and compression computed through the root of A.
 
     Both are Gram products of one factor: for the complement the factor is
     (1 - P_L) composed with the root of A on dom(A), completed by zero
-    across the part of ``s`` inside the multivalued part; for the
+    across the part of S inside the multivalued part; for the
     compression the factor is P_L composed with the root on dom(A).  P_L
     projects onto ``l_space``.  The ``diagnostics`` record the gaps against
     the block-formula results.
@@ -292,29 +282,26 @@ class PekarevResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def pekarev(a_rel: NonnegSelfAdjointRelation, s: Subspace,
-            tol: Tolerances | None = None,
-            result: SchurResult | None = None) -> PekarevResult:
+def pekarev(res: SchurResult) -> PekarevResult:
     """Projection route to the complement and compression.
 
     Three domain conditions make the route legitimate; in finite dimension
     they always hold, so a failure signals a rank-policy bug and raises
     :class:`ConditionViolatedError`.  The resulting relations are compared
-    against the block formula; the gaps land in the diagnostics.  Pass a
-    precomputed ``result`` to skip redoing the block analysis.
+    against the block formula; the gaps land in the diagnostics.  A, S and
+    the tolerances are those ``res`` was built with.
 
-    The complement factor is completed by zero on the intersection of ``s``
+    The complement factor is completed by zero on the intersection of S
     with the multivalued part.  Taking closures does exactly this completion
     when the domain is dense; here the completion is explicit, and without
     it the Gram product would miss that slice of the complement's domain.
     """
-    res = result if result is not None else schur_analysis(a_rel, s, tol)
-    tol = res.tol
     rep = res.rep
+    a_rel, tol = rep.relation, rep.tol
     sqrt_rel = a_rel.sqrt().rel
 
     # P_L of the root's image over dom(A) must stay inside dom(root)
-    c1 = _projected_root_image_defect(a_rel, res.l_space, sqrt_rel, tol)
+    c1 = res.projected_root_image_defect
     # d^{1/2} g* g d^{1/2} and d^{1/2} Dg^2 d^{1/2} must keep the full far slice
     ghg = rep.g.conj().T @ rep.g
     chain2 = rep.d_sqrt.compose(
@@ -371,22 +358,18 @@ class AdditiveDecomposition:
     sum_gap: float
 
 
-def additive_decomposition(a_rel: NonnegSelfAdjointRelation, s: Subspace,
-                           tol: Tolerances | None = None,
-                           result: SchurResult | None = None) -> AdditiveDecomposition:
-    """Split ``a_rel`` into its compression to ``s`` plus its complement.
+def additive_decomposition(res: SchurResult) -> AdditiveDecomposition:
+    """Split A into its compression to S plus its complement.
 
     The splitting is valid exactly when dom(A) lies in the domain of the
     compression and the projection onto the pivot space keeps the root's
     image over dom(A) inside the root's domain; in finite dimension both
-    always hold and the relation sum reproduces A.  Pass a precomputed
-    ``result`` to skip redoing the block analysis.
+    always hold and the relation sum reproduces A.  A, S and the tolerances
+    are those ``res`` was built with.
     """
-    res = result if result is not None else schur_analysis(a_rel, s, tol)
-    tol = res.tol
+    a_rel, tol = res.rep.relation, res.rep.tol
     c_dom = float(res.compression.dom.containment_defect(a_rel.dom))
-    c_image = _projected_root_image_defect(a_rel, res.l_space,
-                                           a_rel.sqrt().rel, tol)
+    c_image = res.projected_root_image_defect
     total = res.compression.rel.add(res.schur.rel, tol)
     sum_gap = float(total.graph_gap(a_rel.rel))
     conditions = {

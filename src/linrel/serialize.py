@@ -38,7 +38,6 @@ __all__ = [
     "dump_relation",
     "dump_diagnostics",
     "dump_block_representation",
-    "dump_schur_result",
     "dumps",
 ]
 
@@ -229,16 +228,6 @@ def dump_block_representation(rep) -> dict:
         "m1": dump_subspace(rep.m1),
         "m2": dump_subspace(rep.m2),
         "diagnostics": dump_diagnostics(rep.diagnostics),
-    }
-
-
-def dump_schur_result(res) -> dict:
-    """Complement/compression pair to JSON with per-identity residuals."""
-    return {
-        "schur": dump_relation(res.schur.rel, validated=True),
-        "compression": dump_relation(res.compression.rel, validated=True),
-        "L": dump_subspace(res.l_space),
-        "diagnostics": dump_diagnostics(res.diagnostics),
     }
 
 

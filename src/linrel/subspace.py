@@ -144,7 +144,8 @@ class InvarianceReport:
     2. ``splits``: M = (S meet M) + (S-perp meet M) as an orthogonal sum;
     3. ``projection_matches``: span(P_S(M)) equals S meet M.
 
-    ``residuals`` records the numerical defect of each condition.
+    ``residuals`` records the numerical defect of each condition, and
+    ``slices`` the two slices (S meet M, S-perp meet M) of condition 2.
     """
 
     projects_into: bool
@@ -152,6 +153,7 @@ class InvarianceReport:
     projection_matches: bool
     residuals: tuple[float, float, float]
     witness: np.ndarray | None
+    slices: tuple[Subspace, Subspace]
 
     @property
     def invariant(self) -> bool:
@@ -201,6 +203,7 @@ def invariance_report(m: Subspace, s: Subspace, tol: Tolerances = DEFAULT_TOL) -
         projection_matches=r3 <= tol.eq_abs,
         residuals=(r1, r2, r3),
         witness=witness,
+        slices=(sm, spm),
     )
 
 

@@ -159,11 +159,11 @@ def _instance_checks(a, s, probe_seed: int, samples: int,
         return rep.diagnostics["g_norm_excess"]
 
     def reconstruction():
-        return max(reconstruct_b(rep, tol).graph_gap(rep.b),
-                   reconstruct_c(rep, tol).graph_gap(rep.c))
+        return max(reconstruct_b(rep).graph_gap(rep.b),
+                   reconstruct_c(rep).graph_gap(rep.c))
 
     def wz():
-        factorize(rep, tol)
+        factorize(rep)
         return rep.diagnostics["factorize_gap"]
 
     def membership():
@@ -174,8 +174,7 @@ def _instance_checks(a, s, probe_seed: int, samples: int,
         return residual if member else max(residual, 2 * tol.eq_abs)
 
     def maximality():
-        probe = maximality_probe(a, s, res, seed=probe_seed,
-                                 samples=samples, tol=tol)
+        probe = maximality_probe(res, seed=probe_seed, samples=samples)
         if not probe.ok:
             return max(probe.worst_defect, 2 * tol.eq_abs)
         return probe.worst_defect
@@ -188,12 +187,12 @@ def _instance_checks(a, s, probe_seed: int, samples: int,
         return res.diagnostics["compression_below_defect"]
 
     def additive():
-        ad = additive_decomposition(a, s, tol, result=res)
+        ad = additive_decomposition(res)
         worst = max(ad.conditions.values())
         return worst if ad.verified else max(worst, 2 * tol.eq_abs)
 
     def pekarev_gap():
-        pk = pekarev(a, s, tol, result=res)
+        pk = pekarev(res)
         return max(pk.diagnostics["schur_gap"],
                    pk.diagnostics["compression_gap"])
 

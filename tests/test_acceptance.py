@@ -121,7 +121,7 @@ def test_criterion_5_schur_suite(battery_analyses):
             res.diagnostics["far_gram_alt_gap"],
         )
         members_ok = members_ok and is_member(a, s, res.schur)
-        probe = maximality_probe(a, s, res, seed=ORACLE_SEED + i, samples=40)
+        probe = maximality_probe(res, seed=ORACLE_SEED + i, samples=40)
         members_ok = members_ok and probe.ok and probe.members >= 20
         total_members += probe.members
     ok = worst < 1e-8 and members_ok
@@ -149,8 +149,8 @@ def test_criterion_7_decomposition_suite(battery_analyses):
     worst = 0.0
     all_true = True
     for _, a, s, _, res in battery_analyses:
-        dec = additive_decomposition(a, s, result=res)
-        pek = pekarev(a, s, result=res)
+        dec = additive_decomposition(res)
+        pek = pekarev(res)
         all_true = all_true and dec.verified and leq(res.compression, a)
         worst = max(
             worst,

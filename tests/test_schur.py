@@ -155,14 +155,15 @@ def test_member_needs_range_in_complement():
 
 def test_maximality_identity():
     a = validate(identity_relation(2))
-    report = maximality_probe(a, SPAN_E1, seed=5, samples=50)
+    report = maximality_probe(schur_analysis(a, SPAN_E1), seed=5, samples=50)
     assert report.ok
     assert report.members + report.rejected == 50
     assert report.members >= 25
 
 
 def test_maximality_dense():
-    report = maximality_probe(_e2_relation(), SPAN_E1, seed=11, samples=100)
+    report = maximality_probe(schur_analysis(_e2_relation(), SPAN_E1),
+                              seed=11, samples=100)
     assert report.ok and report.members >= 50
 
 
@@ -177,21 +178,21 @@ def test_scaled_complement_is_member():
 
 
 def test_additive_identity():
-    dec = additive_decomposition(validate(identity_relation(2)), SPAN_E1)
+    dec = additive_decomposition(schur_analysis(validate(identity_relation(2)), SPAN_E1))
     assert dec.verified and dec.sum_gap < 1e-12
     total = dec.compression.rel.add(dec.schur.rel)
     assert total.equals(identity_relation(2))
 
 
 def test_additive_dense():
-    dec = additive_decomposition(_e2_relation(), SPAN_E1)
+    dec = additive_decomposition(schur_analysis(_e2_relation(), SPAN_E1))
     assert dec.verified
     assert np.allclose(dec.compression.to_matrix() + dec.schur.to_matrix(),
                        [[2.0, 1.0], [1.0, 1.0]], atol=1e-10)
 
 
 def test_additive_absorbs_mul():
-    dec = additive_decomposition(_e3_relation(), SPAN_E1)
+    dec = additive_decomposition(schur_analysis(_e3_relation(), SPAN_E1))
     assert dec.verified
     assert dec.compression.rel.add(dec.schur.rel).graph_gap(_e3_relation().rel) < 1e-10
 
@@ -221,21 +222,21 @@ def test_complement_below_and_ranged(battery_analyses):
 def test_projection_route_matches_formula():
     for rel in (_e2_relation(), _e3_relation(), _e4_relation(),
                 validate(identity_relation(2))):
-        out = pekarev(rel, SPAN_E1)
+        out = pekarev(schur_analysis(rel, SPAN_E1))
         assert out.diagnostics["schur_gap"] < 1e-10
         assert out.diagnostics["compression_gap"] < 1e-10
         assert max(out.diagnostics["condition_residuals"]) < 1e-10
 
 
 def test_projection_route_pivot_spaces():
-    out = pekarev(_e3_relation(), SPAN_E1)
+    out = pekarev(schur_analysis(_e3_relation(), SPAN_E1))
     assert out.l_space.equals(SPAN_E1)
-    out = pekarev(_e4_relation(), SPAN_E1)
+    out = pekarev(schur_analysis(_e4_relation(), SPAN_E1))
     assert out.l_space.dim == 0
 
 
 def test_projection_route_on_battery(battery_analyses):
     for _, a, s, _, res in battery_analyses[:30]:
-        out = pekarev(a, s, result=res)
+        out = pekarev(res)
         assert out.diagnostics["schur_gap"] < 1e-8
         assert out.diagnostics["compression_gap"] < 1e-8
