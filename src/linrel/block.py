@@ -177,14 +177,12 @@ def analyze(a_rel: NonnegSelfAdjointRelation, s: Subspace,
         "s_perp_split": d2.add(m2, tol).gap(sp),
     }
 
-    ps = LinearRelation.from_matrix(s.projector, tol)
-    psp = LinearRelation.from_matrix(sp.projector, tol)
     restricted_s = big.rel.restrict(s, tol)
     restricted_sp = big.rel.restrict(sp, tol)
-    a = ps.compose(restricted_s, tol)
-    b = ps.compose(restricted_sp, tol)
-    c = psp.compose(restricted_s, tol)
-    d = psp.compose(restricted_sp, tol)
+    a = restricted_s.map_output(s.projector, tol)
+    b = restricted_sp.map_output(s.projector, tol)
+    c = restricted_s.map_output(sp.projector, tol)
+    d = restricted_sp.map_output(sp.projector, tol)
 
     # diagonal corners are nonnegative selfadjoint within their components
     a_diag = validate(a.compress_to(s, s, tol), tol)
@@ -235,16 +233,14 @@ def analyze(a_rel: NonnegSelfAdjointRelation, s: Subspace,
 def reconstruct_b(rep: BlockRepresentation) -> LinearRelation:
     """The relation a^(1/2) g d^(1/2)|_D2, which must equal corner b."""
     tol = rep.tol
-    g_rel = LinearRelation.from_matrix(rep.g, tol)
-    chain = g_rel.compose(rep.d_sqrt.restrict(rep.d2, tol), tol)
+    chain = rep.d_sqrt.restrict(rep.d2, tol).map_output(rep.g, tol)
     return rep.a_sqrt.compose(chain, tol)
 
 
 def reconstruct_c(rep: BlockRepresentation) -> LinearRelation:
     """The relation d^(1/2) g* a^(1/2)|_D1, which must equal corner c."""
     tol = rep.tol
-    gstar_rel = LinearRelation.from_matrix(rep.g.conj().T, tol)
-    chain = gstar_rel.compose(rep.a_sqrt.restrict(rep.d1, tol), tol)
+    chain = rep.a_sqrt.restrict(rep.d1, tol).map_output(rep.g.conj().T, tol)
     return rep.d_sqrt.compose(chain, tol)
 
 
@@ -264,7 +260,7 @@ def operator_block(rep: BlockRepresentation) -> tuple[np.ndarray, ...]:
         single = LinearRelation.from_images_and_mul(
             dom, images, Subspace.zero(dom.ambient_dim), tol=tol
         )
-        rebuilt = single.cw_sum(mul_only(mul_slice), tol)
+        rebuilt = single.cw_sum(mul_only(mul_slice, tol=tol), tol)
         return corner.graph_gap(rebuilt)
 
     gaps = {
@@ -298,7 +294,7 @@ def factorize(rep: BlockRepresentation) -> tuple[np.ndarray, LinearRelation]:
         big.dom, m_z @ big.dom.basis, Subspace.zero(big.dim), tol=tol
     )
     w = rep.d1.projector + rep.g + rep.dg @ rep.d2.projector
-    wz = LinearRelation.from_matrix(w, tol).compose(z, tol)
+    wz = z.map_output(w, tol)
     product = wz.adjoint().compose(wz, tol)
     gap = product.graph_gap(big.rel)
     rep.diagnostics["factorize_gap"] = gap

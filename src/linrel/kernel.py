@@ -7,6 +7,13 @@ judged by projector gap against the absolute tolerance ``eq_abs``.  Keeping
 both knobs in one :class:`Tolerances` object and threading it through every
 operation is what makes results reproducible across the whole pipeline.
 
+Spectral norms come from the largest eigenvalue of the smaller Gram matrix
+(``eigvalsh``), which gives the exact 2-norm without computing singular
+vectors.  Complements of orthonormal bases come from a complete QR
+factorization.  The remaining SVDs are the rank decisions themselves
+(:func:`orthonormal_columns`, :func:`null_space`, :func:`pseudo_inverse`)
+and the polar factor in :func:`nearest_isometry`.
+
 Matrices are plain numpy arrays in complex double precision; real input is
 promoted on entry.  Zero-sized matrices (0 rows or 0 columns) are legal
 everywhere and denote maps to or from the trivial space.
@@ -14,6 +21,7 @@ everywhere and denote maps to or from the trivial space.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,10 +87,23 @@ def as_matrix(data, shape: tuple[int, int] | None = None) -> np.ndarray:
 
 
 def opnorm(m: np.ndarray) -> float:
-    """Operator 2-norm; zero for empty matrices."""
+    """Operator 2-norm; zero for empty matrices.
+
+    The square root of the largest eigenvalue of ``m^H m`` or ``m m^H``,
+    whichever is smaller.  The matrix is first scaled by the power of two
+    that brings its largest entry into [1, 2) (the smallest normal power
+    for subnormal entries), which is exact and keeps the Gram matrix clear
+    of overflow and underflow.
+    """
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    top = float(np.abs(m).max())
+    if top == 0.0:
+        return 0.0
+    scale = math.ldexp(1.0, max(math.frexp(top)[1] - 1, -1022))
+    m = m / scale
+    gram = m.conj().T @ m if m.shape[0] >= m.shape[1] else m @ m.conj().T
+    return scale * math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -151,7 +172,8 @@ def null_space(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         return np.zeros((0, 0), dtype=np.complex128)
     if rows == 0 or m.size == 0 or not m.any():
         return np.eye(cols, dtype=np.complex128)
-    u, s, vh = np.linalg.svd(m, full_matrices=True)
+    # a tall input's reduced vh is already square, hence complete
+    _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
     r = int(np.sum(s > rank_cutoff(s, tol))) if s.size else 0
     return np.ascontiguousarray(vh[r:].conj().T)
 
@@ -160,6 +182,7 @@ def full_complement(basis: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of orthonormal ``basis``.
 
     Exact dimension count: an ``(n, k)`` input yields an ``(n, n-k)`` result.
+    The trailing columns of a complete QR factorization; no rank decision.
     """
     basis = as_matrix(basis)
     n, k = basis.shape
@@ -167,8 +190,8 @@ def full_complement(basis: np.ndarray) -> np.ndarray:
         return np.eye(n, dtype=np.complex128)
     if k == n:
         return np.zeros((n, 0), dtype=np.complex128)
-    u, _, _ = np.linalg.svd(basis, full_matrices=True)
-    return np.ascontiguousarray(u[:, k:])
+    q, _ = np.linalg.qr(basis, mode="complete")
+    return np.ascontiguousarray(q[:, k:])
 
 
 def psd_sqrt(h, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

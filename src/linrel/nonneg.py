@@ -295,7 +295,7 @@ def friedrichs(t: LinearRelation, tol: Tolerances = DEFAULT_TOL) -> NonnegSelfAd
             raise NotNonnegativeError(
                 f"form eigenvalue {wmin:.3e} below -eq_abs", witness=wmin
             )
-    extension = dec.as_relation(tol).cw_sum(mul_only(dec.domain.complement()), tol)
+    extension = dec.as_relation(tol).cw_sum(mul_only(dec.domain.complement(), tol=tol), tol)
     out = validate(extension, tol)
     if not extension.includes(t, tol):
         raise InternalInconsistencyError("Friedrichs extension does not extend the input")

@@ -210,6 +210,38 @@ class LinearRelation:
         return LinearRelation(inner.dim_in, self.dim_out,
                               Subspace(inner.dim_in + self.dim_out, g), tol=tol)
 
+    def map_output(self, m, tol: Tolerances = DEFAULT_TOL) -> "LinearRelation":
+        """Product M o self with a matrix M: pairs (x, M y) for (x, y) here.
+
+        Same relation as ``LinearRelation.from_matrix(m).compose(self)``,
+        without building and intersecting the graph of M.
+        """
+        m = kernel.as_matrix(m)
+        if m.shape[1] != self.dim_out:
+            raise DimensionMismatchError(
+                f"cannot compose: dim_out {self.dim_out} != matrix columns {m.shape[1]}"
+            )
+        g = kernel.orthonormal_columns(np.vstack([self._gin, m @ self._gout]), tol)
+        return LinearRelation(self.dim_in, m.shape[0],
+                              Subspace(self.dim_in + m.shape[0], g), tol=tol)
+
+    def pull_input(self, m, tol: Tolerances = DEFAULT_TOL) -> "LinearRelation":
+        """Product self o M with a matrix M: pairs (x, y) with (M x, y) here.
+
+        Same relation as ``self.compose(LinearRelation.from_matrix(m))``: the
+        inputs x and graph coefficients c with M x = (input part) c span it.
+        """
+        m = kernel.as_matrix(m)
+        if m.shape[0] != self.dim_in:
+            raise DimensionMismatchError(
+                f"cannot compose: matrix rows {m.shape[0]} != dim_in {self.dim_in}"
+            )
+        k = m.shape[1]
+        coeff = kernel.null_space(np.hstack([m, -self._gin]), tol)
+        y = self._gout @ coeff[k:]
+        g = kernel.orthonormal_columns(np.vstack([coeff[:k], y]), tol)
+        return LinearRelation(k, self.dim_out, Subspace(k + self.dim_out, g), tol=tol)
+
     def restrict(self, s: Subspace, tol: Tolerances = DEFAULT_TOL) -> "LinearRelation":
         """Pairs of the relation whose input lies in ``s``."""
         if s.ambient_dim != self.dim_in:
@@ -370,15 +402,18 @@ class OperatorPartDecomposition:
 def identity_relation(n: int) -> LinearRelation:
     return LinearRelation.from_matrix(np.eye(n, dtype=np.complex128))
 
-def zero_operator_on(domain: Subspace, dim_out: int | None = None) -> LinearRelation:
+def zero_operator_on(domain: Subspace, dim_out: int | None = None,
+                     tol: Tolerances = DEFAULT_TOL) -> LinearRelation:
     """Everywhere-defined-on-``domain`` zero operator into C^dim_out."""
     dout = domain.ambient_dim if dim_out is None else dim_out
     images = np.zeros((dout, domain.dim), dtype=np.complex128)
-    return LinearRelation.from_images_and_mul(domain, images, Subspace.zero(dout))
+    return LinearRelation.from_images_and_mul(domain, images, Subspace.zero(dout), tol=tol)
 
-def mul_only(values: Subspace, dim_in: int | None = None) -> LinearRelation:
+def mul_only(values: Subspace, dim_in: int | None = None,
+             tol: Tolerances = DEFAULT_TOL) -> LinearRelation:
     """The purely multivalued relation {0} x values."""
     din = values.ambient_dim if dim_in is None else dim_in
     return LinearRelation.from_images_and_mul(
-        Subspace.zero(din), np.zeros((values.ambient_dim, 0), np.complex128), values
+        Subspace.zero(din), np.zeros((values.ambient_dim, 0), np.complex128), values,
+        tol=tol,
     )

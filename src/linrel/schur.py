@@ -108,7 +108,7 @@ def schur_analysis(a_rel: NonnegSelfAdjointRelation, s: Subspace,
     diag: dict = {}
 
     # far block: T = Dg d^{1/2}, then T* T computed in S-perp coordinates
-    t_rel = LinearRelation.from_matrix(rep.dg, tol).compose(rep.d_sqrt, tol)
+    t_rel = rep.d_sqrt.map_output(rep.dg, tol)
     t_op = rep.dg @ rep.d0_sqrt
     t_c = t_rel.compress_to(sp, sp, tol)
     tt_c, tt_diag = gram_with_diagnostics(t_c, tol)
@@ -122,13 +122,14 @@ def schur_analysis(a_rel: NonnegSelfAdjointRelation, s: Subspace,
 
     # alternative expression: d0^{1/2} Dg (Dg d0^{1/2} on the far slice),
     # componentwise-summed with the pure multivalued part over M2
-    alt_inner = LinearRelation.from_matrix(t_op, tol).restrict(rep.d2, tol)
-    alt_outer = LinearRelation.from_matrix(rep.d0_sqrt @ rep.dg, tol)
-    alt = alt_outer.compose(alt_inner, tol).cw_sum(mul_only(rep.m2), tol)
+    alt_inner = LinearRelation.from_images_and_mul(
+        rep.d2, t_op @ rep.d2.basis, Subspace.zero(a_rel.dim), tol=tol)
+    alt = (alt_inner.map_output(rep.d0_sqrt @ rep.dg, tol)
+           .cw_sum(mul_only(rep.m2, tol=tol), tol))
     diag["far_gram_alt_gap"] = float(tt.graph_gap(alt))
 
     # complement: zero on S everywhere, T* T on the far block
-    schur = validate(tt.cw_sum(zero_operator_on(rep.s), tol), tol)
+    schur = validate(tt.cw_sum(zero_operator_on(rep.s, tol=tol), tol), tol)
     diag["schur_ran_outside_far"] = float(sp.containment_defect(schur.rel.ran))
     ok, below = leq_report(schur, a_rel, tol)
     diag["schur_below_defect"] = float(below)
@@ -138,11 +139,9 @@ def schur_analysis(a_rel: NonnegSelfAdjointRelation, s: Subspace,
         )
 
     # compression: Gram product of the row a^{1/2} P_S + g d^{1/2} P_{S-perp}
-    p_near = LinearRelation.from_matrix(rep.s.projector, tol)
-    p_far = LinearRelation.from_matrix(sp.projector, tol)
-    r1 = rep.a_sqrt.compose(p_near, tol).restrict(a_rel.dom, tol)
-    r2 = (LinearRelation.from_matrix(rep.g, tol)
-          .compose(rep.d_sqrt.compose(p_far, tol), tol)
+    r1 = rep.a_sqrt.pull_input(rep.s.projector, tol).restrict(a_rel.dom, tol)
+    r2 = (rep.d_sqrt.pull_input(sp.projector, tol)
+          .map_output(rep.g, tol)
           .restrict(a_rel.dom, tol))
     row = r1.add(r2, tol)
     diag["row_mul_gap"] = float(row.mul.gap(rep.m1))
@@ -304,12 +303,10 @@ def pekarev(res: SchurResult) -> PekarevResult:
     c1 = res.projected_root_image_defect
     # d^{1/2} g* g d^{1/2} and d^{1/2} Dg^2 d^{1/2} must keep the full far slice
     ghg = rep.g.conj().T @ rep.g
-    chain2 = rep.d_sqrt.compose(
-        LinearRelation.from_matrix(ghg, tol).compose(rep.d_sqrt, tol), tol)
+    chain2 = rep.d_sqrt.compose(rep.d_sqrt.map_output(ghg, tol), tol)
     c2 = float(chain2.dom.gap(rep.d2))
     dg2 = rep.dg @ rep.dg
-    chain3 = rep.d_sqrt.compose(
-        LinearRelation.from_matrix(dg2, tol).compose(rep.d_sqrt, tol), tol)
+    chain3 = rep.d_sqrt.compose(rep.d_sqrt.map_output(dg2, tol), tol)
     c3 = float(chain3.dom.gap(rep.d2))
     worst = max(c1, c2, c3)
     if worst > tol.eq_abs:
@@ -320,12 +317,11 @@ def pekarev(res: SchurResult) -> PekarevResult:
     n = a_rel.dim
     root_on_dom = sqrt_rel.restrict(a_rel.dom, tol)
     pl = res.l_space.projector
-    plp_rel = LinearRelation.from_matrix(np.eye(n, dtype=np.complex128) - pl, tol)
-    pl_rel = LinearRelation.from_matrix(pl, tol)
 
-    w = plp_rel.compose(root_on_dom, tol).cw_sum(zero_operator_on(rep.m1), tol)
+    w = (root_on_dom.map_output(np.eye(n, dtype=np.complex128) - pl, tol)
+         .cw_sum(zero_operator_on(rep.m1, tol=tol), tol))
     schur_p, w_diag = gram_with_diagnostics(w, tol)
-    v = pl_rel.compose(root_on_dom, tol)
+    v = root_on_dom.map_output(pl, tol)
     comp_p, v_diag = gram_with_diagnostics(v, tol)
     worst_gram = max(list(w_diag.values()) + list(v_diag.values()), default=0.0)
     if worst_gram > tol.eq_abs:

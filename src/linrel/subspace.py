@@ -80,9 +80,16 @@ class Subspace:
 
     # -- arithmetic --------------------------------------------------------
 
-    def complement(self) -> "Subspace":
-        """Orthogonal complement; dims add up to the ambient dim exactly."""
+    @cached_property
+    def _complement(self) -> "Subspace":
         return Subspace(self.ambient_dim, kernel.full_complement(self.basis))
+
+    def complement(self) -> "Subspace":
+        """Orthogonal complement; dims add up to the ambient dim exactly.
+
+        Computed on first use and kept: a subspace never changes.
+        """
+        return self._complement
 
     def add(self, other: "Subspace", tol: Tolerances = DEFAULT_TOL) -> "Subspace":
         """Subspace sum (span of the union)."""
@@ -99,9 +106,21 @@ class Subspace:
         return Subspace(n, kernel.null_space(stacked, tol))
 
     def gap(self, other: "Subspace") -> float:
-        """Operator-norm distance between the two projectors."""
+        """Operator-norm distance between the two projectors.
+
+        Uses Kato's identity ||P_U - P_V|| = max(||(1 - P_V) U||,
+        ||(1 - P_U) V||) on the orthonormal bases U and V, so no n x n
+        projector is formed.  For dim U = dim V both terms are the sine of
+        the largest principal angle, so one of them is the gap.  Subspaces
+        of different dimension are at gap 1, and bit-identical bases at gap
+        exactly 0.
+        """
         self._check_ambient(other)
-        return kernel.opnorm(self.projector - other.projector)
+        if self.dim != other.dim:
+            return 1.0
+        if np.array_equal(self.basis, other.basis):
+            return 0.0
+        return self.containment_defect(other)
 
     def equals(self, other: "Subspace", tol: Tolerances = DEFAULT_TOL) -> bool:
         return self.gap(other) <= tol.eq_abs
@@ -122,7 +141,7 @@ class Subspace:
         self._check_ambient(other)
         if other.dim == 0:
             return 0.0
-        resid = other.basis - self.projector @ other.basis
+        resid = other.basis - self.basis @ (self.basis.conj().T @ other.basis)
         return kernel.opnorm(resid)
 
     def apply(self, matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> "Subspace":

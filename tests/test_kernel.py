@@ -34,6 +34,35 @@ def test_opnorm_known_values():
     assert kernel.opnorm(np.zeros((2, 2))) == 0.0
 
 
+def _random(rng, shape, scale=1.0):
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def test_opnorm_matches_the_spectral_norm():
+    rng = np.random.default_rng(11)
+    herm = _random(rng, (6, 6))
+    cases = [
+        _random(rng, (9, 4)),                 # tall
+        _random(rng, (3, 7)),                 # wide
+        _random(rng, (5, 5)),                 # square
+        herm + herm.conj().T,                 # Hermitian
+        _random(rng, (6, 2), scale=1e-16),    # roundoff-sized
+        _random(rng, (1, 1)),
+        np.outer(_random(rng, 4), _random(rng, 3)),  # rank one
+    ]
+    # far from unit scale the Gram matrix would overflow or underflow
+    cases += [_random(rng, (4, 3), scale=scale) for scale in (1e-300, 1e-160, 1e160, 1e300)]
+    # entries of 2^1023 and above, next to the largest double, and subnormal ones
+    cases += [np.array([[1e308]], dtype=complex), np.diag([1.5e308, 1e308]).astype(complex),
+              _random(rng, (4, 3), scale=1e307),
+              np.array([[5e-324]], dtype=complex), _random(rng, (3, 4), scale=1e-310)]
+    for m in cases:
+        ref = np.linalg.norm(m, 2)
+        assert abs(kernel.opnorm(m) - ref) <= 1e-13 * ref
+    for shape in [(0, 0), (0, 3), (4, 0)]:
+        assert kernel.opnorm(np.zeros(shape, dtype=complex)) == 0.0
+
+
 def test_hermitian_part_and_eig():
     m = np.array([[1.0, 2.0], [0.0, 3.0]], dtype=complex)
     h = kernel.hermitian_part(m)
@@ -84,6 +113,28 @@ def test_full_complement_exact_dimensions():
     comp = kernel.full_complement(basis)
     assert basis.shape[1] + comp.shape[1] == 3
     assert np.allclose(basis.conj().T @ comp, 0.0, atol=1e-12)
+
+
+def test_full_complement_is_orthonormal_and_orthogonal():
+    rng = np.random.default_rng(12)
+    for n, k in [(1, 0), (1, 1), (5, 2), (8, 7), (6, 3), (16, 8)]:
+        basis = kernel.orthonormal_columns(_random(rng, (n, k)), DEFAULT_TOL)
+        comp = kernel.full_complement(basis)
+        assert comp.shape == (n, n - k)
+        assert np.allclose(comp.conj().T @ comp, np.eye(n - k), atol=1e-13)
+        assert np.allclose(basis.conj().T @ comp, 0.0, atol=1e-13)
+
+
+def test_null_space_of_tall_and_wide_inputs():
+    rng = np.random.default_rng(13)
+    # rank two in both shapes: kernels of dimension 1 and 5
+    tall = _random(rng, (6, 2)) @ _random(rng, (2, 3))
+    wide = _random(rng, (3, 2)) @ _random(rng, (2, 7))
+    for m, nullity in [(tall, 1), (wide, 5)]:
+        ns = kernel.null_space(m, DEFAULT_TOL)
+        assert ns.shape == (m.shape[1], nullity)
+        assert np.allclose(ns.conj().T @ ns, np.eye(nullity), atol=1e-13)
+        assert np.linalg.norm(m @ ns) <= 1e-12 * np.linalg.norm(m)
 
 
 def test_psd_sqrt_frozen_and_roundtrip():

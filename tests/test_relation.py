@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from linrel.errors import DimensionMismatchError
+from linrel.generator import rng_for
 from linrel.kernel import DEFAULT_TOL
 from linrel.relation import LinearRelation, identity_relation, mul_only, zero_operator_on
 from linrel.subspace import Subspace
@@ -123,6 +124,40 @@ def test_compose_dimension_check():
     s = identity_relation(3)
     with pytest.raises(DimensionMismatchError):
         s.compose(t)
+
+
+def _factor(rng, rows, cols):
+    """A Gaussian matrix, a projector or zero, in turn by the draw."""
+    kind = int(rng.integers(0, 3))
+    m = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    if kind == 1 and rows == cols:
+        q, _ = np.linalg.qr(m)
+        k = int(rng.integers(0, rows + 1))
+        return q[:, :k] @ q[:, :k].conj().T
+    return m if kind != 2 else np.zeros((rows, cols), dtype=complex)
+
+
+def test_matrix_factor_products_match_compose(relation_battery):
+    for i, t in enumerate(relation_battery):
+        rng = rng_for(7778, i)
+        p = int(rng.integers(1, 9))
+        out = _factor(rng, *((t.dim_out, t.dim_out) if i % 2 else (p, t.dim_out)))
+        inp = _factor(rng, *((t.dim_in, t.dim_in) if i % 2 else (t.dim_in, p)))
+        via_graph = LinearRelation.from_matrix(out).compose(t)
+        assert t.map_output(out).graph_gap(via_graph) <= 1e-12
+        via_graph = t.compose(LinearRelation.from_matrix(inp))
+        assert t.pull_input(inp).graph_gap(via_graph) <= 1e-12
+
+
+def test_matrix_factor_products_check_dimensions():
+    t = _e3()
+    with pytest.raises(DimensionMismatchError):
+        t.map_output(np.eye(3, dtype=complex))
+    with pytest.raises(DimensionMismatchError):
+        t.pull_input(np.eye(3, dtype=complex))
+    # the shapes of the factor set the new spaces
+    assert t.map_output(np.ones((3, 2), dtype=complex)).dim_out == 3
+    assert t.pull_input(np.ones((2, 4), dtype=complex)).dim_in == 4
 
 
 def test_restrict_and_image():

@@ -80,6 +80,37 @@ def test_gap_and_containment():
     assert not u.contains_vector(E2)
 
 
+def test_gap_matches_the_projector_difference():
+    for seed in range(40):
+        rng = rng_for(103, seed)
+        n = int(rng.integers(1, 9))
+        k = int(rng.integers(0, n + 1))
+        u = random_subspace(rng, n, k)
+        # a far pair and a near pair (a small rotation of u)
+        v = random_subspace(rng, n, k)
+        w = Subspace.span(u.basis + 1e-6 * rng.standard_normal((n, k)), n)
+        for other in (v, w):
+            ref = np.linalg.norm(u.projector - other.projector, 2)
+            assert abs(u.gap(other) - ref) <= 1e-13 * max(ref, 1.0)
+            assert abs(other.gap(u) - u.gap(other)) <= 1e-15
+
+
+def test_gap_of_unequal_dimensions_and_of_equal_bases():
+    rng = rng_for(104)
+    u = random_subspace(rng, 5, 2)
+    assert u.gap(random_subspace(rng, 5, 3)) == 1.0
+    assert u.gap(Subspace.zero(5)) == 1.0
+    # a copy of the same basis is exactly at gap zero, as is the subspace itself
+    assert u.gap(Subspace(5, u.basis.copy())) == 0.0
+    assert u.gap(u) == 0.0
+    assert Subspace.zero(5).gap(Subspace.zero(5)) == 0.0
+
+
+def test_complement_is_computed_once():
+    u = random_subspace(rng_for(105), 6, 2)
+    assert u.complement() is u.complement()
+
+
 def test_apply_maps_through_a_matrix():
     u = Subspace.span([E1], 2)
     swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

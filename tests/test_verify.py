@@ -1,11 +1,15 @@
-"""Work done per trial by the verification harness."""
+"""Work done per result and per trial of the verification harness."""
 
 import sys
 from functools import cached_property
 
+import numpy as np
+
 import linrel
-from linrel import block, schur
+from linrel import block, kernel, schur
 from linrel.generator import InstanceSpec, generate
+from linrel.kernel import Tolerances
+from linrel.relation import LinearRelation
 from linrel.subspace import Subspace
 from linrel.verify import run_verification
 
@@ -17,19 +21,27 @@ def _counting(original, calls):
     return counting
 
 
+def _patch_bindings(monkeypatch, original, name, replacement):
+    """Rebind ``name`` in every linrel module that bound ``original``.
+
+    Covers every import style; returns the names of the patched modules.
+    """
+    patched = []
+    for modname, module in list(sys.modules.items()):
+        if modname.split(".")[0] != linrel.__name__:
+            continue
+        if vars(module).get(name) is original:
+            monkeypatch.setattr(module, name, replacement)
+            patched.append(modname)
+    return patched
+
+
 def test_verify_analyzes_each_instance_once(monkeypatch):
     original = block.analyze
     calls = []
     counting = _counting(original, calls)
 
-    # patch every module that bound the function, whatever its import style
-    patched = []
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] != linrel.__name__:
-            continue
-        if vars(module).get("analyze") is original:
-            monkeypatch.setattr(module, "analyze", counting)
-            patched.append(name)
+    patched = _patch_bindings(monkeypatch, original, "analyze", counting)
     assert "linrel.block" in patched and "linrel.schur" in patched
 
     trials = 6
@@ -62,3 +74,53 @@ def test_analyze_reuses_the_invariance_slices(monkeypatch):
     # S and S-perp against dom(A) inside the invariance check, then mul(A)
     assert len(calls) == 4
     assert (rep.d1.dim, rep.d2.dim) == (2, 2)
+
+
+def test_complement_of_s_is_taken_once(monkeypatch):
+    calls = []
+    counting = _counting(kernel.full_complement, calls)
+    assert _patch_bindings(monkeypatch, kernel.full_complement, "full_complement", counting)
+
+    # the generator, the invariance check, analyze and assemble all need S-perp
+    a, s = generate(InstanceSpec(ambient_dim=6, s_dim=3, d1_dim=2, d2_dim=2, seed=1))
+    res = schur.schur_analysis(a, s)
+    assert sum(args[0] is s.basis for args in calls) == 1
+    calls.clear()
+    # every membership test reuses S-perp
+    schur.maximality_probe(res, samples=10)
+    assert not any(args[0] is s.basis for args in calls)
+
+
+def test_custom_tolerances_reach_every_rank_decision(monkeypatch):
+    tol = Tolerances(rank_rel=2e-10, eq_abs=2e-8)
+    instances = [
+        generate(InstanceSpec(ambient_dim=6, s_dim=3, d1_dim=2, d2_dim=2, seed=1), tol),
+        generate(InstanceSpec(ambient_dim=5, s_dim=2, d1_dim=1, d2_dim=2, seed=4), tol),
+    ]
+    calls = []
+    counting = _counting(kernel.rank_cutoff, calls)
+    assert _patch_bindings(monkeypatch, kernel.rank_cutoff, "rank_cutoff", counting)
+
+    for a, s in instances:
+        res = schur.schur_analysis(a, s, tol)
+        schur.pekarev(res)
+        schur.additive_decomposition(res)
+    assert calls
+    assert [args[1] for args in calls if args[1] is not tol] == []
+
+
+def test_schur_analysis_work_budget(monkeypatch):
+    # spectral norms go through the Gram eigenvalue route, and products
+    # with a plain matrix never build the matrix's graph
+    a, s = generate(InstanceSpec(ambient_dim=16, s_dim=8, d1_dim=6, d2_dim=6, seed=2))
+    norm_calls, graph_calls = [], []
+    counting_norm = _counting(np.linalg.norm, norm_calls)
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    counting_graph = staticmethod(_counting(LinearRelation.from_matrix, graph_calls))
+    monkeypatch.setattr(LinearRelation, "from_matrix", counting_graph)
+
+    schur.schur_analysis(a, s)
+    matrix_2norms = [args for args in norm_calls
+                     if len(args) > 1 and args[1] == 2 and np.ndim(args[0]) == 2]
+    assert matrix_2norms == []
+    assert graph_calls == []
