@@ -139,9 +139,7 @@ def _partial_isometry(corner: np.ndarray, frame: np.ndarray, root_ambient: np.nd
     if k == 0:
         return np.zeros((n, n), dtype=np.complex128)
     w, q = np.linalg.eigh(kernel.hermitian_part(corner))
-    # same floor as kernel.rank_cutoff: a corner below rank_rel is noise
-    top = float(w[-1]) if w.size else 0.0
-    keep = w > max(top, 1.0) * tol.rank_rel
+    keep = w > kernel.rank_cutoff(w[::-1], tol)
     if not np.any(keep):
         return np.zeros((n, n), dtype=np.complex128)
     initial = frame @ q[:, keep]

@@ -24,7 +24,7 @@ from .kernel import Tolerances, opnorm
 from .nonneg import NonnegSelfAdjointRelation, leq, validate
 from .relation import LinearRelation
 from .schur import anderson_trapp, pekarev, schur_analysis
-from .verify import run_verification
+from .verify import check_counts, run_verification
 
 __all__ = ["main"]
 
@@ -225,6 +225,11 @@ def _cmd_order(args, tol: Tolerances) -> int:
 
 
 def _cmd_verify(args, tol: Tolerances) -> int:
+    try:
+        check_counts(args.trials, args.max_dim, args.samples)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report = run_verification(args.seed, args.trials, args.max_dim, tol,
                               samples=args.samples)
     if args.format == "json":

@@ -76,8 +76,8 @@ class InstanceSpec:
             raise SpecInvalidError(
                 f"d2_dim must lie in [0, {self.ambient_dim - self.s_dim}], got {self.d2_dim}"
             )
-        if not self.spectrum_scale > 0:
-            raise SpecInvalidError("spectrum_scale must be positive")
+        if not 0 < self.spectrum_scale < np.inf:
+            raise SpecInvalidError("spectrum_scale must be positive and finite")
 
 
 def _complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

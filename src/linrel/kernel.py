@@ -10,9 +10,10 @@ operation is what makes results reproducible across the whole pipeline.
 Spectral norms come from the largest eigenvalue of the smaller Gram matrix
 (``eigvalsh``), which gives the exact 2-norm without computing singular
 vectors.  Complements of orthonormal bases come from a complete QR
-factorization.  The remaining SVDs are the rank decisions themselves
-(:func:`orthonormal_columns`, :func:`null_space`, :func:`pseudo_inverse`)
-and the polar factor in :func:`nearest_isometry`.
+factorization.  Only two SVDs are left: :func:`rank_svd`, the one place a
+factorization is cut at the shared rank (:func:`orthonormal_columns`,
+:func:`null_space` and :func:`pseudo_inverse` read it), and the polar factor
+in :func:`nearest_isometry`.
 
 Matrices are plain numpy arrays in complex double precision; real input is
 promoted on entry.  Zero-sized matrices (0 rows or 0 columns) are legal
@@ -40,6 +41,7 @@ __all__ = [
     "opnorm",
     "hermitian_part",
     "hermitian_eig",
+    "rank_svd",
     "orthonormal_columns",
     "null_space",
     "full_complement",
@@ -130,10 +132,6 @@ def hermitian_eig(h, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndar
     return w, v
 
 
-def _svd(m: np.ndarray):
-    return np.linalg.svd(m, full_matrices=False)
-
-
 def rank_cutoff(s: np.ndarray, tol: Tolerances) -> float:
     """Singular value cutoff: ``rank_rel * max(sigma_max, 1)``.
 
@@ -147,35 +145,31 @@ def rank_cutoff(s: np.ndarray, tol: Tolerances) -> float:
     return tol.rank_rel * max(top, 1.0)
 
 
-def orthonormal_columns(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis for the column span of ``m``.
+def rank_svd(m, tol: Tolerances = DEFAULT_TOL):
+    """SVD of ``m`` cut at the shared rank: ``(u, s, vh, null)``.
 
-    Rank is decided by the shared cutoff :func:`rank_cutoff`.  An input with
-    no numerically independent columns yields an ``(n, 0)`` result.
+    Keeps the triplets above :func:`rank_cutoff`; ``null`` is an orthonormal
+    kernel basis.  A wide input needs complete factors for it; a tall
+    input's reduced ``vh`` is already square, hence complete.
     """
     m = as_matrix(m)
-    n = m.shape[0]
-    if m.size == 0:
-        return np.zeros((n, 0), dtype=np.complex128)
-    u, s, _ = _svd(m)
-    if s.size == 0 or s[0] <= 0.0:
-        return np.zeros((n, 0), dtype=np.complex128)
+    rows, cols = m.shape
+    if not m.any():
+        return (np.zeros((rows, 0), dtype=np.complex128), np.zeros(0),
+                np.zeros((0, cols), dtype=np.complex128), np.eye(cols, dtype=np.complex128))
+    u, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
     r = int(np.sum(s > rank_cutoff(s, tol)))
-    return np.ascontiguousarray(u[:, :r])
+    return u[:, :r], s[:r], vh[:r], vh[r:].conj().T
+
+
+def orthonormal_columns(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis for the column span of ``m`` (an ``(n, rank)`` matrix)."""
+    return np.ascontiguousarray(rank_svd(m, tol)[0])
 
 
 def null_space(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis for the kernel of ``m`` (an ``(ncols, k)`` matrix)."""
-    m = as_matrix(m)
-    rows, cols = m.shape
-    if cols == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
-    if rows == 0 or m.size == 0 or not m.any():
-        return np.eye(cols, dtype=np.complex128)
-    # a tall input's reduced vh is already square, hence complete
-    _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
-    r = int(np.sum(s > rank_cutoff(s, tol))) if s.size else 0
-    return np.ascontiguousarray(vh[r:].conj().T)
+    return np.ascontiguousarray(rank_svd(m, tol)[3])
 
 
 def full_complement(basis: np.ndarray) -> np.ndarray:
@@ -219,15 +213,8 @@ def psd_sqrt(h, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 def pseudo_inverse(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose inverse with the shared rank cutoff."""
-    m = as_matrix(m)
-    if m.size == 0:
-        return np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
-    u, s, vh = _svd(m)
-    if s.size == 0 or s[0] <= 0.0:
-        return np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
-    keep = s > rank_cutoff(s, tol)
-    inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-    return vh.conj().T @ (inv[:, None] * u.conj().T)
+    u, s, vh, _ = rank_svd(m, tol)
+    return vh.conj().T @ ((1.0 / s)[:, None] * u.conj().T)
 
 
 def pseudo_apply_inverse(r, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -263,5 +250,5 @@ def nearest_isometry(w: np.ndarray) -> np.ndarray:
     w = as_matrix(w)
     if w.size == 0:
         return w.copy()
-    u, _, vh = _svd(w)
+    u, _, vh = np.linalg.svd(w, full_matrices=False)
     return u @ vh

@@ -123,9 +123,20 @@ class LinearRelation:
         return self.graph.basis[self.dim_in:]
 
     @cached_property
+    def _input_split(self) -> tuple[Subspace, Subspace, np.ndarray]:
+        """``(dom, mul, V S^-1)`` from one SVD ``U S V^H`` of the input block X.
+
+        mul is spanned by the outputs over the kernel of X; ``X V S^-1 = U``.
+        """
+        u, s, vh, null = kernel.rank_svd(self._gin, self._tol)
+        mul = kernel.orthonormal_columns(self._gout @ null, self._tol)
+        return (Subspace(self.dim_in, np.ascontiguousarray(u)),
+                Subspace(self.dim_out, mul), vh.conj().T / s)
+
+    @cached_property
     def dom(self) -> Subspace:
         """Domain: first components of the graph."""
-        return Subspace(self.dim_in, kernel.orthonormal_columns(self._gin, self._tol))
+        return self._input_split[0]
 
     @cached_property
     def ran(self) -> Subspace:
@@ -135,9 +146,7 @@ class LinearRelation:
     @cached_property
     def mul(self) -> Subspace:
         """Multivalued part: values paired with input zero."""
-        coeff = kernel.null_space(self._gin, self._tol)
-        vecs = self._gout @ coeff
-        return Subspace(self.dim_out, kernel.orthonormal_columns(vecs, self._tol))
+        return self._input_split[1]
 
     @cached_property
     def ker(self) -> Subspace:
@@ -288,34 +297,25 @@ class LinearRelation:
     def operator_part(self, tol: Tolerances = DEFAULT_TOL) -> "OperatorPartDecomposition":
         """Split a closed relation into a single-valued operator plus its mul.
 
-        The operator part keeps the pairs whose output component is orthogonal
-        to the multivalued part; together with ``{0} x mul`` it spans the
-        original graph.  The returned matrix holds ambient images of the
-        domain basis vectors.
+        The operator part is ``(1 - P_mul) Y X^+`` on the graph's input and
+        output blocks X and Y: of the values Y c + mul at x = X c, the one
+        orthogonal to mul.  The returned matrix holds the ambient images of
+        the domain basis vectors.  Rank decisions use the relation's own
+        tolerance; ``tol`` bounds the solve residual.
         """
-        m = self.mul
-        g = self.graph.basis
-        # keep graph directions whose output has no component along mul
-        coeff = kernel.null_space(m.projector @ g[self.dim_in:], tol)
-        g0 = kernel.orthonormal_columns(g @ coeff, tol)
-        gin0, gout0 = g0[: self.dim_in], g0[self.dim_in:]
-        if kernel.null_space(gin0, tol).shape[1] != 0:
+        domain, m, coeff = self._input_split
+        # the operator-part graph has dimension graph.dim - mul.dim
+        if domain.dim + m.dim != self.graph.dim:
             raise InternalInconsistencyError(
                 "operator part is not single-valued; rank decisions disagree"
             )
-        domain = self.dom
-        if domain.dim != g0.shape[1]:
-            raise InternalInconsistencyError(
-                "operator part domain dimension disagrees with the relation domain"
-            )
-        # solve for the image of each domain basis vector
-        c = kernel.pseudo_inverse(gin0, tol) @ domain.basis
-        resid = kernel.opnorm(gin0 @ c - domain.basis)
+        resid = kernel.opnorm(self._gin @ coeff - domain.basis)
         if resid > tol.eq_abs:
             raise InternalInconsistencyError(
                 f"operator part solve residual {resid:.3e} exceeds tolerance"
             )
-        images = gout0 @ c
+        images = self._gout @ coeff
+        images = images - m.basis @ (m.basis.conj().T @ images)
         return OperatorPartDecomposition(domain=domain, images=images, mul=m,
                                          dim_in=self.dim_in, dim_out=self.dim_out)
 

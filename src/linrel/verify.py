@@ -26,7 +26,8 @@ from .schur import (
     schur_analysis,
 )
 
-__all__ = ["CHECK_NAMES", "CheckStat", "VerificationReport", "run_verification"]
+__all__ = ["CHECK_NAMES", "CheckStat", "VerificationReport", "check_counts",
+           "run_verification"]
 
 CHECK_NAMES = (
     "adjoint_involution",
@@ -210,14 +211,21 @@ def _instance_checks(a, s, probe_seed: int, samples: int,
     ]
 
 
-def run_verification(seed: int, trials: int, max_dim: int = 8,
-                     tol: Tolerances = DEFAULT_TOL,
-                     samples: int = 10) -> VerificationReport:
-    """Run every check on ``trials`` independent random draws."""
+def check_counts(trials: int, max_dim: int, samples: int) -> None:
+    """Raise ``ValueError`` for a run size :func:`run_verification` rejects."""
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     if max_dim < 1:
         raise ValueError("max_dim must be >= 1")
+    if samples < 0:
+        raise ValueError("samples must be nonnegative")
+
+
+def run_verification(seed: int, trials: int, max_dim: int = 8,
+                     tol: Tolerances = DEFAULT_TOL,
+                     samples: int = 10) -> VerificationReport:
+    """Run every check on ``trials`` independent random draws."""
+    check_counts(trials, max_dim, samples)
     report = VerificationReport(seed=seed, trials=trials, max_dim=max_dim,
                                 samples=samples, tol=tol,
                                 checks={name: CheckStat() for name in CHECK_NAMES})

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from linrel import block, kernel
 from linrel.block import analyze, assemble, factorize, operator_block, reconstruct_b, reconstruct_c
 from linrel.errors import ComponentMismatchError, InvarianceViolatedError
+from linrel.kernel import Tolerances
 from linrel.nonneg import friedrichs, gram, validate
 from linrel.relation import LinearRelation, identity_relation, mul_only, zero_operator_on
 from linrel.subspace import Subspace
@@ -141,6 +143,25 @@ def test_factorize_block_diagonal():
     w, z = factorize(rep)
     assert np.allclose(w, np.eye(2), atol=1e-12)
     assert z.equals(LinearRelation.from_matrix(np.diag([np.sqrt(3.0), np.sqrt(7.0)])))
+
+
+def test_partial_isometry_cuts_at_the_shared_rank(monkeypatch):
+    tol = Tolerances(rank_rel=2e-10, eq_abs=2e-8)
+    calls = []
+    original = kernel.rank_cutoff
+
+    def counting(s, tol_arg):
+        calls.append(tol_arg)
+        return original(s, tol_arg)
+
+    monkeypatch.setattr(kernel, "rank_cutoff", counting)
+    root = np.diag([2.0, 1.0, 0.0]).astype(complex)
+    frame = np.eye(3, 2, dtype=complex)
+    corner = frame.conj().T @ root @ root @ frame
+    w = block._partial_isometry(corner, frame, root, tol)
+    assert calls == [tol] and calls[0] is tol
+    # an isometry on span{e1, e2}, zero on e3
+    assert np.allclose(w.conj().T @ w, np.diag([1.0, 1.0, 0.0]), atol=1e-13)
 
 
 def test_analyze_requires_invariance():

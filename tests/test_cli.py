@@ -188,6 +188,14 @@ def test_exit_code_2_on_malformed_input(tmp_path, capsys):
     assert code == 2 and err
 
 
+@pytest.mark.parametrize("flag", [["--trials", "-1"], ["--max-dim", "0"],
+                                  ["--samples", "-3"]])
+def test_verify_rejects_out_of_range_counts(flag, capsys):
+    code, out, err = _run(capsys, ["verify", "--trials", "1", *flag])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_exit_code_2_on_bad_usage(capsys):
     with pytest.raises(SystemExit) as info:
         main(["schur", "--relation"])

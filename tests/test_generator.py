@@ -38,6 +38,7 @@ def test_generate_varies_with_seed():
     dict(ambient_dim=2, s_dim=1, d1_dim=2, d2_dim=0, seed=0),
     dict(ambient_dim=2, s_dim=1, d1_dim=1, d2_dim=2, seed=0),
     dict(ambient_dim=2, s_dim=1, d1_dim=1, d2_dim=1, seed=0, spectrum_scale=0.0),
+    dict(ambient_dim=2, s_dim=1, d1_dim=1, d2_dim=1, seed=0, spectrum_scale=float("inf")),
 ])
 def test_spec_rejects_bad_shapes(kwargs):
     with pytest.raises(SpecInvalidError):

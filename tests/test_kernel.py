@@ -137,6 +137,34 @@ def test_null_space_of_tall_and_wide_inputs():
         assert np.linalg.norm(m @ ns) <= 1e-12 * np.linalg.norm(m)
 
 
+def test_rank_svd_keeps_rank_nullity_exact():
+    rng = np.random.default_rng(14)
+    cases = [
+        _random(rng, (7, 3)),                                # tall
+        _random(rng, (3, 7)),                                # wide
+        _random(rng, (5, 5)),                                # square
+        _random(rng, (6, 2)) @ _random(rng, (2, 4)),         # rank-deficient tall
+        _random(rng, (2, 2)) @ _random(rng, (2, 6)),         # rank-deficient wide
+        np.zeros((4, 3)),
+        np.full((3, 3), 1e-16),                              # numerically zero
+        np.zeros((0, 3)),
+        np.zeros((3, 0)),
+        np.zeros((0, 0)),
+    ]
+    ranks = [3, 3, 5, 2, 2, 0, 0, 0, 0, 0]
+    for m, rank in zip(cases, ranks):
+        rows, cols = m.shape
+        u, s, vh, null = kernel.rank_svd(m, DEFAULT_TOL)
+        assert u.shape == (rows, rank) and s.shape == (rank,) and vh.shape == (rank, cols)
+        assert u.shape[1] + null.shape[1] == cols
+        assert np.allclose(u.conj().T @ u, np.eye(rank), atol=1e-13)
+        assert np.allclose(null.conj().T @ null, np.eye(cols - rank), atol=1e-13)
+        assert np.allclose(vh @ null, 0.0, atol=1e-13)
+        if rank:
+            assert np.linalg.norm(m @ null) <= 1e-12 * np.linalg.norm(m)
+            assert np.allclose((u * s) @ vh, m, atol=1e-12)
+
+
 def test_psd_sqrt_frozen_and_roundtrip():
     root = kernel.psd_sqrt(np.diag([4.0, 9.0]).astype(complex), DEFAULT_TOL)
     assert np.allclose(root, np.diag([2.0, 3.0]), atol=1e-12)

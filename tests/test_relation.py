@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from linrel import kernel
 from linrel.errors import DimensionMismatchError
 from linrel.generator import rng_for
 from linrel.kernel import DEFAULT_TOL
@@ -247,4 +248,6 @@ def test_calculus_on_random_battery(relation_battery):
     for t in relation_battery[:60]:
         adj = t.adjoint()
         assert adj.adjoint().graph_gap(t) < 1e-8
-        assert t.operator_part().reassemble().graph_gap(t) < 1e-8
+        dec = t.operator_part()
+        assert dec.reassemble().graph_gap(t) < 1e-8
+        assert kernel.opnorm(dec.mul.basis.conj().T @ dec.images) <= 1e-12

@@ -119,8 +119,33 @@ def test_schur_analysis_work_budget(monkeypatch):
     counting_graph = staticmethod(_counting(LinearRelation.from_matrix, graph_calls))
     monkeypatch.setattr(LinearRelation, "from_matrix", counting_graph)
 
+    svd_inputs = []
+    original_svd = np.linalg.svd
+
+    def recording_svd(m, *args, **kwargs):
+        svd_inputs.append((m.shape, m.tobytes()))
+        return original_svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+
     schur.schur_analysis(a, s)
     matrix_2norms = [args for args in norm_calls
                      if len(args) > 1 and args[1] == 2 and np.ndim(args[0]) == 2]
     assert matrix_2norms == []
     assert graph_calls == []
+    # a relation factors its graph's input block once, for dom, mul and
+    # the operator part together; no SVD input repeats an earlier one
+    assert len(set(svd_inputs)) == len(svd_inputs)
+    assert len(svd_inputs) <= 103
+
+
+def test_operator_part_makes_at_most_two_svds(monkeypatch, relation_battery):
+    calls = []
+    monkeypatch.setattr(np.linalg, "svd", _counting(np.linalg.svd, calls))
+    for t in relation_battery[:40]:
+        fresh = LinearRelation(t.dim_in, t.dim_out, t.graph)
+        calls.clear()
+        dec = fresh.operator_part()
+        # one SVD of the input block, one orthonormalization of mul
+        assert len(calls) <= 2
+        assert dec.domain.dim + dec.mul.dim == t.graph.dim
