@@ -80,9 +80,11 @@ def _check_component(rel: LinearRelation, dom_space: Subspace, ran_space: Subspa
                      name: str, tol: Tolerances):
     gin = rel.graph.basis[: rel.dim_in]
     gout = rel.graph.basis[rel.dim_in:]
-    din = kernel.opnorm(gin - dom_space.projector @ gin)
-    dout = kernel.opnorm(gout - ran_space.projector @ gout)
-    if max(din, dout) > tol.eq_abs:
+    outside_in = gin - dom_space.projector @ gin
+    outside_out = gout - ran_space.projector @ gout
+    if not (kernel.opnorm_within(outside_in, tol.eq_abs)
+            and kernel.opnorm_within(outside_out, tol.eq_abs)):
+        din, dout = kernel.opnorm(outside_in), kernel.opnorm(outside_out)
         raise ComponentMismatchError(
             f"block '{name}' leaves its component product "
             f"(input defect {din:.3e}, output defect {dout:.3e})"
@@ -111,14 +113,15 @@ def assemble(a: LinearRelation, b: LinearRelation, c: LinearRelation,
 
     ga, gb, gc, gd = (r.graph.basis for r in (a, b, c, d))
     ra, rb, rc, rd = (g.shape[1] for g in (ga, gb, gc, gd))
-    zeros = np.zeros
-    # shared inputs: the S-input of a and c agree, likewise b and d in S-perp
-    top = np.hstack([ga[:n], zeros((n, rb), complex), -gc[:n], zeros((n, rd), complex)])
-    bottom = np.hstack([zeros((n, ra), complex), gb[:n], zeros((n, rc), complex), -gd[:n]])
-    coeff = kernel.null_space(np.vstack([top, bottom]), tol)
-    ca, cb, cc, cd = np.split(coeff, [ra, ra + rb, ra + rb + rc])
-    x = ga[:n] @ ca + gb[:n] @ cb
-    y = ga[n:] @ ca + gb[n:] @ cb + gc[n:] @ cc + gd[n:] @ cd
+    # shared inputs: the S-input of a and c agree, likewise b and d in
+    # S-perp; the two constraints share no coefficient, so their joint
+    # kernel is the direct sum of the two kernels
+    ac = kernel.null_space(np.hstack([ga[:n], -gc[:n]]), tol)
+    bd = kernel.null_space(np.hstack([gb[:n], -gd[:n]]), tol)
+    ca, cc = ac[:ra], ac[ra:]
+    cb, cd = bd[:rb], bd[rb:]
+    x = np.hstack([ga[:n] @ ca, gb[:n] @ cb])
+    y = np.hstack([ga[n:] @ ca + gc[n:] @ cc, gb[n:] @ cb + gd[n:] @ cd])
     basis = kernel.orthonormal_columns(np.vstack([x, y]), tol)
     return LinearRelation(n, n, Subspace(2 * n, basis), tol=tol)
 

@@ -7,13 +7,26 @@ judged by projector gap against the absolute tolerance ``eq_abs``.  Keeping
 both knobs in one :class:`Tolerances` object and threading it through every
 operation is what makes results reproducible across the whole pipeline.
 
+Which factorization an operation takes depends on whether a rank can drop:
+
+* an SVD where a numerical rank is decided.  :func:`rank_svd` is the one
+  place a factorization is cut at the shared rank (:func:`orthonormal_columns`,
+  :func:`null_space` and :func:`pseudo_inverse` read it).  The only other
+  SVD is the polar factor in :func:`nearest_isometry`;
+* a reduced QR (:func:`orthonormalize`) for spanning sets that are linearly
+  independent by construction, such as a graph ``[I; M]`` whose smallest
+  singular value is at least 1.  Cutting those at a rank relative to their
+  largest singular value would only drop real directions once an image is
+  large, so no rank is decided; a complete QR gives the complements in
+  :func:`full_complement`;
+* nothing for products that are already orthonormal, such as an orthonormal
+  basis times an orthonormal kernel basis: callers use them as they stand.
+
 Spectral norms come from the largest eigenvalue of the smaller Gram matrix
 (``eigvalsh``), which gives the exact 2-norm without computing singular
-vectors.  Complements of orthonormal bases come from a complete QR
-factorization.  Only two SVDs are left: :func:`rank_svd`, the one place a
-factorization is cut at the shared rank (:func:`orthonormal_columns`,
-:func:`null_space` and :func:`pseudo_inverse` read it), and the polar factor
-in :func:`nearest_isometry`.
+vectors.  A check that only compares a norm against a bound asks
+:func:`opnorm_within` instead, which settles most cases by the Frobenius
+norm and computes the exact norm only when that is not enough.
 
 Matrices are plain numpy arrays in complex double precision; real input is
 promoted on entry.  Zero-sized matrices (0 rows or 0 columns) are legal
@@ -39,10 +52,12 @@ __all__ = [
     "DEFAULT_TOL",
     "as_matrix",
     "opnorm",
+    "opnorm_within",
     "hermitian_part",
     "hermitian_eig",
     "rank_svd",
     "orthonormal_columns",
+    "orthonormalize",
     "null_space",
     "full_complement",
     "psd_sqrt",
@@ -108,6 +123,20 @@ def opnorm(m: np.ndarray) -> float:
     return scale * math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
 
 
+def opnorm_within(m: np.ndarray, bound: float) -> bool:
+    """Whether ``opnorm(m) <= bound``.
+
+    The Frobenius norm bounds the 2-norm from above, so it settles the
+    comparison whenever it is within the bound; only otherwise is the exact
+    :func:`opnorm` computed.  For checks that compare and do not report.
+    """
+    if m.size == 0:
+        return True
+    with np.errstate(over="ignore"):  # an overflow to inf defers to opnorm
+        frobenius = float(np.linalg.norm(m))
+    return frobenius <= bound or opnorm(m) <= bound
+
+
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
@@ -125,9 +154,12 @@ def hermitian_eig(h, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndar
         raise DimensionMismatchError(f"square matrix required, got {h.shape}")
     if h.shape[0] == 0:
         return np.zeros(0), np.zeros((0, 0), dtype=np.complex128)
-    defect = opnorm(h - h.conj().T)
-    if defect > tol.eq_abs * (1.0 + opnorm(h)):
-        raise NotHermitianError(f"anti-Hermitian defect {defect:.3e} exceeds tolerance")
+    anti = h - h.conj().T
+    # eq_abs is the least the bound can be, so a defect within it passes
+    if not opnorm_within(anti, tol.eq_abs):
+        defect = opnorm(anti)
+        if defect > tol.eq_abs * (1.0 + opnorm(h)):
+            raise NotHermitianError(f"anti-Hermitian defect {defect:.3e} exceeds tolerance")
     w, v = np.linalg.eigh(hermitian_part(h))
     return w, v
 
@@ -170,6 +202,17 @@ def orthonormal_columns(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 def null_space(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis for the kernel of ``m`` (an ``(ncols, k)`` matrix)."""
     return np.ascontiguousarray(rank_svd(m, tol)[3])
+
+
+def orthonormalize(m) -> np.ndarray:
+    """Orthonormal basis for the column span of ``m``, which must be independent.
+
+    The Q factor of a reduced QR factorization; no rank decision, so every
+    column counts.  Only for spanning sets that are full column rank by
+    construction, however large their images: the shared rank cutoff is
+    relative to the largest singular value and would drop real directions.
+    """
+    return np.ascontiguousarray(np.linalg.qr(as_matrix(m))[0])
 
 
 def full_complement(basis: np.ndarray) -> np.ndarray:
@@ -231,13 +274,12 @@ def pseudo_apply_inverse(r, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
             f"row counts differ: {r.shape[0]} vs {b.shape[0]}"
         )
     y = pseudo_inverse(r, tol) @ b
-    resid = r @ y - b
-    for j in range(b.shape[1]):
-        scale = 1.0 + float(np.linalg.norm(b[:, j]))
-        if float(np.linalg.norm(resid[:, j])) > tol.eq_abs * scale:
-            raise UnsolvableError(
-                f"column {j} leaves the span of the coefficient matrix"
-            )
+    resid = np.linalg.norm(r @ y - b, axis=0)
+    bad = np.flatnonzero(resid > tol.eq_abs * (1.0 + np.linalg.norm(b, axis=0)))
+    if bad.size:
+        raise UnsolvableError(
+            f"column {bad[0]} leaves the span of the coefficient matrix"
+        )
     return y
 
 

@@ -69,11 +69,15 @@ class LinearRelation:
 
     @classmethod
     def from_matrix(cls, m, tol: Tolerances = DEFAULT_TOL) -> "LinearRelation":
-        """Graph of an everywhere-defined matrix operator."""
+        """Graph of an everywhere-defined matrix operator.
+
+        ``[I; M]`` has smallest singular value at least 1, however large M
+        is, so its columns are orthonormalized with no rank decision.
+        """
         m = kernel.as_matrix(m)
         dout, din = m.shape
         stacked = np.vstack([np.eye(din, dtype=np.complex128), m])
-        return cls(din, dout, Subspace(din + dout, kernel.orthonormal_columns(stacked, tol)), tol=tol)
+        return cls(din, dout, Subspace(din + dout, kernel.orthonormalize(stacked)), tol=tol)
 
     @classmethod
     def from_operator_and_mul(cls, domain: Subspace, matrix_on_domain, mul: Subspace,
@@ -99,6 +103,9 @@ class LinearRelation:
 
         ``images`` has one column per domain basis vector, rows in the output
         space; the multivalued part ``mul`` is appended as ``{0} x mul``.
+        The spanning set ``[U 0; W M]`` with orthonormal U and M is independent
+        by construction (its input rows U pin the first columns, then M the
+        rest), so every column counts, however large the images W are.
         """
         din = domain.ambient_dim
         dout = mul.ambient_dim
@@ -109,7 +116,7 @@ class LinearRelation:
             )
         op_cols = np.vstack([domain.basis, images])
         mul_cols = np.vstack([np.zeros((din, mul.dim), dtype=np.complex128), mul.basis])
-        g = kernel.orthonormal_columns(np.hstack([op_cols, mul_cols]), tol)
+        g = kernel.orthonormalize(np.hstack([op_cols, mul_cols]))
         return cls(din, dout, Subspace(din + dout, g), tol=tol)
 
     # -- slices of the graph -------------------------------------------------
@@ -122,14 +129,38 @@ class LinearRelation:
     def _gout(self) -> np.ndarray:
         return self.graph.basis[self.dim_in:]
 
+    def _cut_graph_slice(self, cut: np.ndarray, kept: np.ndarray,
+                         null: np.ndarray) -> np.ndarray:
+        """``kept @ null``, where ``null`` is a kernel basis of the block ``cut``.
+
+        The graph basis is orthonormal, so ``(kept null)^H (kept null) =
+        1 - (cut null)^H (cut null)``: the product is orthonormal up to the
+        square of the part of ``cut`` that the rank decision dropped.  That
+        square must stay within the relation's ``eq_abs``, or the rank
+        decision disagrees with the relation it was made on, and
+        :class:`InternalInconsistencyError` is raised.
+        """
+        dropped = cut @ null
+        if not kernel.opnorm_within(dropped, self._tol.eq_abs ** 0.5):
+            raise InternalInconsistencyError(
+                f"rank decisions disagree: squared norm {kernel.opnorm(dropped) ** 2:.3e} "
+                f"left over the numerical kernel of a graph block exceeds eq_abs"
+            )
+        return kept @ null
+
     @cached_property
     def _input_split(self) -> tuple[Subspace, Subspace, np.ndarray]:
         """``(dom, mul, V S^-1)`` from one SVD ``U S V^H`` of the input block X.
 
-        mul is spanned by the outputs over the kernel of X; ``X V S^-1 = U``.
+        mul is spanned by the outputs over the kernel of X: ``Y null`` is
+        its basis as it stands, since the graph basis [X; Y] is orthonormal
+        and ``X null`` is below the rank cutoff.  That makes
+        ``dom.dim + mul.dim == graph.dim`` hold by construction; the
+        single-valuedness check it stood for is that ``||X null||^2 <=
+        eq_abs`` (see :meth:`_cut_graph_slice`).  ``X V S^-1 = U``.
         """
         u, s, vh, null = kernel.rank_svd(self._gin, self._tol)
-        mul = kernel.orthonormal_columns(self._gout @ null, self._tol)
+        mul = self._cut_graph_slice(self._gin, self._gout, null)
         return (Subspace(self.dim_in, np.ascontiguousarray(u)),
                 Subspace(self.dim_out, mul), vh.conj().T / s)
 
@@ -150,10 +181,14 @@ class LinearRelation:
 
     @cached_property
     def ker(self) -> Subspace:
-        """Kernel: inputs paired with output zero."""
-        coeff = kernel.null_space(self._gout, self._tol)
-        vecs = self._gin @ coeff
-        return Subspace(self.dim_in, kernel.orthonormal_columns(vecs, self._tol))
+        """Kernel: inputs paired with output zero.
+
+        ``X null(Y)`` is orthonormal as it stands; see
+        :meth:`_cut_graph_slice` for the check that keeps it so.
+        """
+        null = kernel.null_space(self._gout, self._tol)
+        return Subspace(self.dim_in,
+                        self._cut_graph_slice(self._gout, self._gin, null))
 
     def __repr__(self):
         return (
@@ -239,6 +274,9 @@ class LinearRelation:
 
         Same relation as ``self.compose(LinearRelation.from_matrix(m))``: the
         inputs x and graph coefficients c with M x = (input part) c span it.
+        Each unit vector (x, c) of the orthonormal kernel basis gives a pair
+        (x, (output part) c) of norm at least ``1 / sqrt(1 + ||M||^2)``, so
+        the pairs are orthonormalized with no rank decision.
         """
         m = kernel.as_matrix(m)
         if m.shape[0] != self.dim_in:
@@ -248,17 +286,20 @@ class LinearRelation:
         k = m.shape[1]
         coeff = kernel.null_space(np.hstack([m, -self._gin]), tol)
         y = self._gout @ coeff[k:]
-        g = kernel.orthonormal_columns(np.vstack([coeff[:k], y]), tol)
+        g = kernel.orthonormalize(np.vstack([coeff[:k], y]))
         return LinearRelation(k, self.dim_out, Subspace(k + self.dim_out, g), tol=tol)
 
     def restrict(self, s: Subspace, tol: Tolerances = DEFAULT_TOL) -> "LinearRelation":
-        """Pairs of the relation whose input lies in ``s``."""
+        """Pairs of the relation whose input lies in ``s``.
+
+        The graph basis times an orthonormal kernel basis is orthonormal as
+        it stands.
+        """
         if s.ambient_dim != self.dim_in:
             raise DimensionMismatchError("restriction subspace must live in the input space")
         g = self.graph.basis
         outside = (np.eye(self.dim_in, dtype=np.complex128) - s.projector) @ g[: self.dim_in]
-        coeff = kernel.null_space(outside, tol)
-        basis = kernel.orthonormal_columns(g @ coeff, tol)
+        basis = g @ kernel.null_space(outside, tol)
         return LinearRelation(self.dim_in, self.dim_out,
                               Subspace(self.dim_in + self.dim_out, basis), tol=tol)
 
@@ -302,17 +343,19 @@ class LinearRelation:
         orthogonal to mul.  The returned matrix holds the ambient images of
         the domain basis vectors.  Rank decisions use the relation's own
         tolerance; ``tol`` bounds the solve residual.
+
+        The operator part is single-valued when the graph's inputs over the
+        kernel of X, the ones mul is read from, are numerically zero:
+        ``||X null||^2 <= eq_abs`` under the relation's tolerance, checked
+        where mul is built, which raises :class:`InternalInconsistencyError`
+        otherwise.  The operator-part graph then has dimension graph.dim -
+        mul.dim by construction.
         """
         domain, m, coeff = self._input_split
-        # the operator-part graph has dimension graph.dim - mul.dim
-        if domain.dim + m.dim != self.graph.dim:
+        resid = self._gin @ coeff - domain.basis
+        if not kernel.opnorm_within(resid, tol.eq_abs):
             raise InternalInconsistencyError(
-                "operator part is not single-valued; rank decisions disagree"
-            )
-        resid = kernel.opnorm(self._gin @ coeff - domain.basis)
-        if resid > tol.eq_abs:
-            raise InternalInconsistencyError(
-                f"operator part solve residual {resid:.3e} exceeds tolerance"
+                f"operator part solve residual {kernel.opnorm(resid):.3e} exceeds tolerance"
             )
         images = self._gout @ coeff
         images = images - m.basis @ (m.basis.conj().T @ images)
@@ -327,21 +370,22 @@ class LinearRelation:
 
         Rewrites the graph in the orthonormal bases of ``u`` and ``v``; the
         result is a relation between C^dim(u) and C^dim(v).  Raises when the
-        graph actually leaves the product.
+        graph actually leaves the product.  Inside the product the
+        coordinates keep the norms of the orthonormal graph basis up to the
+        square of the defect, so they are orthonormalized with no rank
+        decision.
         """
         if u.ambient_dim != self.dim_in or v.ambient_dim != self.dim_out:
             raise DimensionMismatchError("component subspaces live in the wrong spaces")
         gin, gout = self._gin, self._gout
-        defect = max(
-            kernel.opnorm(gin - u.projector @ gin),
-            kernel.opnorm(gout - v.projector @ gout),
-        )
-        if defect > tol.eq_abs:
+        outside = (gin - u.projector @ gin, gout - v.projector @ gout)
+        if not all(kernel.opnorm_within(part, tol.eq_abs) for part in outside):
+            defect = max(kernel.opnorm(part) for part in outside)
             raise ComponentMismatchError(
                 f"graph leaves the component product (defect {defect:.3e})"
             )
         basis = np.vstack([u.basis.conj().T @ gin, v.basis.conj().T @ gout])
-        basis = kernel.orthonormal_columns(basis, tol)
+        basis = kernel.orthonormalize(basis)
         return LinearRelation(u.dim, v.dim, Subspace(u.dim + v.dim, basis), tol=tol)
 
     def embed_from(self, u: Subspace, v: Subspace) -> "LinearRelation":

@@ -1,10 +1,9 @@
 """Subspaces of C^n with orthonormal stored bases.
 
-A :class:`Subspace` is immutable; every constructor canonicalizes the basis
-through the kernel's SVD orthonormalization, so two subspaces are compared by
-the operator-norm gap between their orthogonal projectors.  All set
-arithmetic (sum, intersection, complement) reduces to the kernel's rank
-decisions.
+A :class:`Subspace` is immutable and stores an orthonormal basis; two
+subspaces are compared by the operator-norm gap between their orthogonal
+projectors.  Sum and intersection reduce to the kernel's rank decisions; the
+complement is exact.
 """
 
 from __future__ import annotations
@@ -98,12 +97,19 @@ class Subspace:
         return Subspace(self.ambient_dim, kernel.orthonormal_columns(stacked, tol))
 
     def intersect(self, other: "Subspace", tol: Tolerances = DEFAULT_TOL) -> "Subspace":
-        """Intersection, via the joint kernel of the two complement projectors."""
+        """Intersection, as the directions of ``other`` that stay in this subspace.
+
+        The kernel of ``(1 - P_self) V`` on the orthonormal basis V of
+        ``other``, mapped back by V.  Its singular values are the sines of
+        the principal angles between the two subspaces (and 1 for every
+        dimension of ``other`` beyond this one), so a direction is shared
+        when the sine of its angle is at most the rank cutoff, ``rank_rel``.
+        The rule is symmetric in the two subspaces.  ``V null`` is
+        orthonormal as it stands and lies in ``other``.
+        """
         self._check_ambient(other)
-        n = self.ambient_dim
-        eye = np.eye(n, dtype=np.complex128)
-        stacked = np.vstack([eye - self.projector, eye - other.projector])
-        return Subspace(n, kernel.null_space(stacked, tol))
+        null = kernel.null_space(self._residual(other), tol)
+        return Subspace(self.ambient_dim, other.basis @ null)
 
     def gap(self, other: "Subspace") -> float:
         """Operator-norm distance between the two projectors.
@@ -123,7 +129,12 @@ class Subspace:
         return self.containment_defect(other)
 
     def equals(self, other: "Subspace", tol: Tolerances = DEFAULT_TOL) -> bool:
-        return self.gap(other) <= tol.eq_abs
+        """``gap(other) <= eq_abs``, without computing the gap where it is small."""
+        self._check_ambient(other)
+        # subspaces of different dimension are at gap 1, above any eq_abs
+        return self.dim == other.dim and (
+            np.array_equal(self.basis, other.basis)
+            or kernel.opnorm_within(self._residual(other), tol.eq_abs))
 
     def contains_vector(self, v, tol: Tolerances = DEFAULT_TOL) -> bool:
         v = np.asarray(v, dtype=np.complex128).reshape(-1)
@@ -134,15 +145,17 @@ class Subspace:
 
     def contains(self, other: "Subspace", tol: Tolerances = DEFAULT_TOL) -> bool:
         """True when ``other`` is a subset of this subspace."""
-        return self.containment_defect(other) <= tol.eq_abs
+        self._check_ambient(other)
+        return kernel.opnorm_within(self._residual(other), tol.eq_abs)
 
     def containment_defect(self, other: "Subspace") -> float:
         """Norm of the part of ``other`` sticking out of this subspace."""
         self._check_ambient(other)
-        if other.dim == 0:
-            return 0.0
-        resid = other.basis - self.basis @ (self.basis.conj().T @ other.basis)
-        return kernel.opnorm(resid)
+        return kernel.opnorm(self._residual(other))
+
+    def _residual(self, other: "Subspace") -> np.ndarray:
+        """``(1 - P_self) V`` on the basis V of ``other``, without forming P_self."""
+        return other.basis - self.basis @ (self.basis.conj().T @ other.basis)
 
     def apply(self, matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> "Subspace":
         """Image of this subspace under a matrix (rows give the new ambient)."""

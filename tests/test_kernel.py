@@ -193,6 +193,56 @@ def test_pseudo_apply_inverse_solves_and_rejects():
         kernel.pseudo_apply_inverse(m, np.array([[0.0], [1.0]], dtype=complex), DEFAULT_TOL)
 
 
+def test_pseudo_apply_inverse_names_the_first_failing_column():
+    m = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    b = np.array([[1.0, 0.0, 5.0, 0.0], [0.0, 0.0, 1e-3, 1.0]], dtype=complex)
+    with pytest.raises(UnsolvableError, match="column 2 "):
+        kernel.pseudo_apply_inverse(m, b, DEFAULT_TOL)
+    # within eq_abs * (1 + ||column||) a column still counts as solvable
+    x = kernel.pseudo_apply_inverse(m, np.array([[1e3], [5e-6]], dtype=complex), DEFAULT_TOL)
+    assert np.allclose(x, [[1e3], [0.0]])
+    # the first failing column is the one a column-by-column loop finds
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        r = _random(rng, (5, 2))
+        b = r @ _random(rng, (2, 6)) + _random(rng, (5, 6)) * (rng.random(6) < 0.3)
+        resid = r @ kernel.pseudo_inverse(r) @ b - b
+        failing = [j for j in range(6) if np.linalg.norm(resid[:, j])
+                   > DEFAULT_TOL.eq_abs * (1.0 + np.linalg.norm(b[:, j]))]
+        if failing:
+            with pytest.raises(UnsolvableError, match=f"column {failing[0]} "):
+                kernel.pseudo_apply_inverse(r, b, DEFAULT_TOL)
+        else:
+            kernel.pseudo_apply_inverse(r, b, DEFAULT_TOL)
+
+
+def test_orthonormalize_keeps_every_independent_column():
+    rng = np.random.default_rng(12)
+    for big in (1.0, 1e8, 1e13, 1e100):
+        m = np.vstack([np.eye(3), big * _random(rng, (4, 3))])
+        q = kernel.orthonormalize(m)
+        assert q.shape == (7, 3)
+        assert np.allclose(q.conj().T @ q, np.eye(3), atol=1e-12)
+        # the same column span: q q^H fixes every normalized column of m
+        cols = m / np.linalg.norm(m, axis=0)
+        assert np.allclose(q @ (q.conj().T @ cols), cols, atol=1e-12)
+    assert kernel.orthonormalize(np.zeros((4, 0))).shape == (4, 0)
+
+
+def test_opnorm_within_agrees_with_opnorm():
+    rng = np.random.default_rng(13)
+    cases = [_random(rng, (5, 3)), _random(rng, (2, 6), scale=1e-9),
+             np.outer(_random(rng, 4), _random(rng, 4)), np.diag([1e-8, 1e-8, 1e-8]),
+             _random(rng, (3, 3), scale=1e200), np.zeros((3, 0))]
+    for m in cases:
+        norm = kernel.opnorm(m)
+        top = float(np.abs(m).max()) if m.size else 1.0
+        fro = top * float(np.linalg.norm(m / top))  # scaled clear of overflow
+        # bounds on both sides of the norm, and between it and the Frobenius norm
+        for bound in (0.5 * norm, norm, 0.5 * (norm + fro), 2.0 * fro + 1e-300):
+            assert kernel.opnorm_within(m, bound) == (norm <= bound)
+
+
 def test_nearest_isometry_known_cases():
     assert np.allclose(kernel.nearest_isometry(np.diag([2.0, 3.0]).astype(complex)),
                        np.eye(2), atol=1e-12)

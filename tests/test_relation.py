@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from linrel import kernel
-from linrel.errors import DimensionMismatchError
+from linrel.errors import DimensionMismatchError, InternalInconsistencyError
 from linrel.generator import rng_for
-from linrel.kernel import DEFAULT_TOL
+from linrel.kernel import DEFAULT_TOL, Tolerances
 from linrel.relation import LinearRelation, identity_relation, mul_only, zero_operator_on
 from linrel.subspace import Subspace
 
@@ -52,6 +52,47 @@ def test_derived_subspaces_of_the_shift():
 def test_graph_rank_nullity():
     for rel in (_shift(), _e3(), identity_relation(2), mul_only(SPAN_E2)):
         assert rel.graph.dim == rel.dom.dim + rel.mul.dim
+
+
+@pytest.mark.parametrize("norm", [1e9, 1e11, 1e13])
+def test_large_images_keep_every_graph_dimension(norm):
+    # a cut relative to the largest singular value of the spanning set
+    # would drop the unit-sized directions next to an image of this norm
+    rng = rng_for(61)
+    e = np.eye(4, dtype=complex)
+    matrices = [np.diag([norm, 1.0, 0.5]).astype(complex),
+                np.diag([norm, 0.0, 0.0]) + rng.standard_normal((3, 3))]
+    full, plane, line = Subspace.full(3), Subspace.span(e[:, :2], 4), Subspace.span(e[:, 3:], 4)
+    # (domain, ambient images of its basis, mul); images also along mul
+    cases = [(full, m, Subspace.zero(3)) for m in matrices] + [
+        (plane, norm * e[:, [2, 0]], line),
+        (plane, norm * (e[:, [2, 3]] + e[:, [1, 0]]), Subspace.span(e[:, 2:], 4)),
+    ]
+    rels = [(LinearRelation.from_matrix(m), full, Subspace.zero(3)) for m in matrices]
+    rels += [(LinearRelation.from_images_and_mul(dom, images, mul), dom, mul)
+             for dom, images, mul in cases]
+    for rel, domain, mul in rels:
+        g = rel.graph.basis
+        assert rel.graph.dim == domain.dim + mul.dim
+        assert np.allclose(g.conj().T @ g, np.eye(g.shape[1]), atol=1e-12)
+
+
+def test_kernel_and_mul_raise_when_the_cut_block_is_not_negligible():
+    # under rank_rel = 0.9 the singular value 0.5 of one block is cut, so
+    # the other block keeps only 0.75 of its squared norm over that kernel
+    tol = Tolerances(rank_rel=0.9)
+    pairs = np.array([[1.0, 0.0], [0.0, 0.5], [0.0, 0.0], [0.0, 0.75 ** 0.5]], dtype=complex)
+    graph = Subspace(4, pairs)
+    flipped = Subspace(4, pairs[[2, 3, 0, 1]])
+    with pytest.raises(InternalInconsistencyError):
+        LinearRelation(2, 2, graph, tol=tol).mul
+    with pytest.raises(InternalInconsistencyError):
+        LinearRelation(2, 2, flipped, tol=tol).ker
+    # under the default rank rule nothing is cut and nothing raises
+    rel = LinearRelation(2, 2, graph)
+    assert (rel.dom.dim, rel.mul.dim, rel.ker.dim) == (2, 0, 1)
+    rel = LinearRelation(2, 2, flipped)
+    assert (rel.dom.dim, rel.mul.dim, rel.ker.dim) == (1, 1, 0)
 
 
 def test_e3_derived_subspaces():

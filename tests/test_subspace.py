@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linrel import kernel
 from linrel.errors import DimensionMismatchError, InvarianceViolatedError
 from linrel.generator import random_subspace, rng_for
 from linrel.kernel import DEFAULT_TOL
@@ -66,6 +67,45 @@ def test_intersection_of_generic_subspaces():
     meet = u.intersect(v)
     assert meet.dim == 1
     assert u.contains(meet) and v.contains(meet)
+
+
+def _stacked_intersection_dim(u, v):
+    # the joint kernel of the two complement projectors, stacked
+    eye = np.eye(u.ambient_dim, dtype=complex)
+    return kernel.null_space(np.vstack([eye - u.projector, eye - v.projector])).shape[1]
+
+
+def _intersection_pairs():
+    rng = rng_for(104)
+    n = 8
+    a = random_subspace(rng, n, 5)
+    inner = Subspace(n, a.basis @ random_subspace(rng, 5, 2).basis)
+    yield a, inner, 2                    # nested
+    yield a, Subspace(n, a.basis[:, ::-1].copy()), 5  # equal, other basis
+    yield a, a.complement(), 0           # orthogonal
+    yield a, Subspace.zero(n), 0
+    yield a, Subspace.full(n), 5
+    yield Subspace.zero(n), Subspace.full(n), 0
+    # k shared directions, two more at principal angle theta, and one
+    # direction of the first subspace the second lacks
+    for shared in range(4):
+        for theta in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8):
+            q = kernel.orthonormal_columns(rng.standard_normal((n, n))
+                                           + 1j * rng.standard_normal((n, n)))
+            tilted = (np.cos(theta) * q[:, shared:shared + 2]
+                      + np.sin(theta) * q[:, shared + 2:shared + 4])
+            first = Subspace(n, q[:, list(range(shared + 2)) + [shared + 4]])
+            second = Subspace(n, np.hstack([q[:, :shared], tilted]))
+            yield first, second, shared
+
+
+def test_intersect_matches_the_stacked_projector_kernel():
+    for u, v, dim in _intersection_pairs():
+        for one, other in ((u, v), (v, u)):
+            meet = one.intersect(other)
+            assert meet.dim == _stacked_intersection_dim(one, other) == dim
+            assert np.allclose(meet.basis.conj().T @ meet.basis, np.eye(meet.dim), atol=1e-12)
+        assert u.intersect(v).dim == v.intersect(u).dim
 
 
 def test_gap_and_containment():

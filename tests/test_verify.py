@@ -4,9 +4,11 @@ import sys
 from functools import cached_property
 
 import numpy as np
+import pytest
 
 import linrel
 from linrel import block, kernel, schur
+from linrel.errors import InternalInconsistencyError
 from linrel.generator import InstanceSpec, generate
 from linrel.kernel import Tolerances
 from linrel.relation import LinearRelation
@@ -119,11 +121,18 @@ def test_schur_analysis_work_budget(monkeypatch):
     counting_graph = staticmethod(_counting(LinearRelation.from_matrix, graph_calls))
     monkeypatch.setattr(LinearRelation, "from_matrix", counting_graph)
 
-    svd_inputs = []
+    svd_inputs, orthonormal_callers = [], []
     original_svd = np.linalg.svd
 
     def recording_svd(m, *args, **kwargs):
         svd_inputs.append((m.shape, m.tobytes()))
+        rows, cols = m.shape
+        if 0 < cols <= rows and np.allclose(m.conj().T @ m, np.eye(cols), atol=1e-12):
+            frame, callers = sys._getframe(1), set()
+            while frame is not None:
+                callers.add(frame.f_code.co_name)
+                frame = frame.f_back
+            orthonormal_callers.append(callers)
         return original_svd(m, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
@@ -136,16 +145,31 @@ def test_schur_analysis_work_budget(monkeypatch):
     # a relation factors its graph's input block once, for dom, mul and
     # the operator part together; no SVD input repeats an earlier one
     assert len(set(svd_inputs)) == len(svd_inputs)
-    assert len(svd_inputs) <= 103
+    # spanning sets independent by construction take a QR, and products
+    # that are orthonormal by construction are used as they stand
+    assert len(svd_inputs) <= 67
+    by_construction = {"restrict", "ker", "compress_to", "_input_split"}
+    assert [c & by_construction for c in orthonormal_callers if c & by_construction] == []
 
 
-def test_operator_part_makes_at_most_two_svds(monkeypatch, relation_battery):
+def test_operator_part_makes_at_most_one_svd(monkeypatch, relation_battery):
     calls = []
     monkeypatch.setattr(np.linalg, "svd", _counting(np.linalg.svd, calls))
     for t in relation_battery[:40]:
         fresh = LinearRelation(t.dim_in, t.dim_out, t.graph)
         calls.clear()
         dec = fresh.operator_part()
-        # one SVD of the input block, one orthonormalization of mul
-        assert len(calls) <= 2
+        # one SVD of the input block; mul's basis is a product that is
+        # orthonormal as it stands
+        assert len(calls) <= 1
         assert dec.domain.dim + dec.mul.dim == t.graph.dim
+
+
+def test_operator_part_raises_when_the_rank_rule_cuts_real_input():
+    # rank_rel = 0.9 cuts the input singular value 0.5, whose graph
+    # direction is not multivalued: the operator part is inconsistent
+    tol = Tolerances(rank_rel=0.9)
+    pairs = np.array([[1.0, 0.0], [0.0, 0.5], [0.0, 0.0], [0.0, 0.75 ** 0.5]], dtype=complex)
+    rel = LinearRelation(2, 2, Subspace(4, pairs), tol=tol)
+    with pytest.raises(InternalInconsistencyError):
+        rel.operator_part(tol)
