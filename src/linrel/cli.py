@@ -35,7 +35,7 @@ def _load_json_file(path: str):
             return json.load(fh)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, int digit limit
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -92,11 +92,12 @@ def _diagnostic_lines(diag: dict) -> list[str]:
     return lines
 
 
-def _emit(args, obj: dict, text_lines: list[str]) -> None:
+def _emit(args, obj: dict, render) -> None:
+    """Print ``obj`` as JSON, or under ``--format text`` the lines of ``render()``."""
     if args.format == "json":
         sys.stdout.write(serialize.dumps(obj))
     else:
-        sys.stdout.write("\n".join(text_lines) + "\n")
+        sys.stdout.write("\n".join(render()) + "\n")
 
 
 # -- subcommands -------------------------------------------------------------
@@ -119,10 +120,13 @@ def _cmd_gen(args, tol: Tolerances) -> int:
     if args.out_subspace:
         _write_json_file(args.out_subspace, sub_obj)
     obj = {"spec": asdict(spec), "relation": rel_obj, "subspace": sub_obj}
-    lines = [f"generated instance for seed {spec.seed}"]
-    lines += _relation_lines(a.rel, "relation")
-    lines += _subspace_lines(s, "subspace")
-    _emit(args, obj, lines)
+
+    def render():
+        return ([f"generated instance for seed {spec.seed}"]
+                + _relation_lines(a.rel, "relation")
+                + _subspace_lines(s, "subspace"))
+
+    _emit(args, obj, render)
     return 0
 
 
@@ -131,15 +135,18 @@ def _cmd_block(args, tol: Tolerances) -> int:
     s = _load_subspace(args.subspace, tol)
     rep = analyze(a, s, tol)
     obj = serialize.dump_block_representation(rep)
-    lines = []
-    for label in ("a", "b", "c", "d"):
-        lines += _relation_lines(getattr(rep, label), f"block {label}")
-    lines.append(
-        "components: "
-        f"d1={rep.d1.dim} d2={rep.d2.dim} m1={rep.m1.dim} m2={rep.m2.dim}"
-    )
-    lines += _diagnostic_lines(obj["diagnostics"])
-    _emit(args, obj, lines)
+
+    def render():
+        lines = []
+        for label in ("a", "b", "c", "d"):
+            lines += _relation_lines(getattr(rep, label), f"block {label}")
+        lines.append(
+            "components: "
+            f"d1={rep.d1.dim} d2={rep.d2.dim} m1={rep.m1.dim} m2={rep.m2.dim}"
+        )
+        return lines + _diagnostic_lines(obj["diagnostics"])
+
+    _emit(args, obj, render)
     return 0
 
 
@@ -182,12 +189,15 @@ def _cmd_schur(args, tol: Tolerances) -> int:
         "L": serialize.dump_subspace(res.l_space),
         "diagnostics": diagnostics,
     }
-    lines = [f"method: {args.method}"]
-    lines += _relation_lines(chosen.rel, "schur complement")
-    lines += _relation_lines(res.compression.rel, "compression")
-    lines += _subspace_lines(res.l_space, "L")
-    lines += _diagnostic_lines(diagnostics)
-    _emit(args, obj, lines)
+
+    def render():
+        return ([f"method: {args.method}"]
+                + _relation_lines(chosen.rel, "schur complement")
+                + _relation_lines(res.compression.rel, "compression")
+                + _subspace_lines(res.l_space, "L")
+                + _diagnostic_lines(diagnostics))
+
+    _emit(args, obj, render)
     return 0
 
 
@@ -200,9 +210,12 @@ def _cmd_compress(args, tol: Tolerances) -> int:
         "compression": serialize.dump_relation(res.compression.rel, validated=True),
         "diagnostics": diagnostics,
     }
-    lines = _relation_lines(res.compression.rel, "compression")
-    lines += _diagnostic_lines(diagnostics)
-    _emit(args, obj, lines)
+
+    def render():
+        return (_relation_lines(res.compression.rel, "compression")
+                + _diagnostic_lines(diagnostics))
+
+    _emit(args, obj, render)
     return 0
 
 
@@ -220,7 +233,7 @@ def _cmd_order(args, tol: Tolerances) -> int:
     else:
         verdict = "incomparable"
     obj = {"a_leq_b": ab, "b_leq_a": ba, "verdict": verdict}
-    _emit(args, obj, [verdict])
+    _emit(args, obj, lambda: [verdict])
     return 0
 
 

@@ -8,14 +8,24 @@ one of three shapes: a graph basis, a plain matrix, or an operator given
 by domain basis, ambient image columns, and a multivalued part.  Dumps
 always normalize to graph form and attach the derived subspace dims.
 
-Every float is emitted through ``repr`` (the json module's default), so
-serializing the same state twice gives byte-identical text.
+``dumps`` writes exactly the bytes of ``json.dumps(obj, sort_keys=True,
+indent=2, allow_nan=False)`` plus a newline, in one pass: every float goes
+through ``float.__repr__``, so serializing the same state twice gives
+byte-identical text.  (With ``indent`` set, the json module always runs its
+pure-Python encoder; the writer here is that encoder with a direct path for
+the ``[re, im]`` pairs that make up nearly all of the text.)  The dump
+functions build their nested lists from a float64 view of the complex array
+in one ``tolist`` call, and the loaders convert a well-formed list of pairs
+in bulk, falling back to the per-entry validator (and its error messages)
+on anything else.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -46,9 +56,13 @@ def _real(obj, where: str) -> float:
     # bool is an int subclass; reject it explicitly
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise FormatError(f"{where}: expected a number, got {type(obj).__name__}")
-    if not math.isfinite(obj):
+    try:
+        value = float(obj)
+    except OverflowError:
+        raise FormatError(f"{where}: integer too large for a float") from None
+    if not math.isfinite(value):
         raise FormatError(f"{where}: non-finite number {obj!r}")
-    return float(obj)
+    return value
 
 
 def _int_field(obj: dict, key: str, where: str, minimum: int = 0) -> int:
@@ -71,6 +85,37 @@ def _list_field(obj: dict, key: str, where: str) -> list:
     return value
 
 
+def _bulk_pairs(rows: list, length: int):
+    """Complex (len(rows), length) array of ``rows`` of ``[re, im]`` pairs, or None.
+
+    The screen passes only lists of ``length`` two-element lists of plain
+    ``int`` and ``float`` (so no ``bool``), every value finite as a float.
+    On None the caller runs the per-entry validator, which accepts what it
+    always did and names the first bad entry.
+    """
+    if not set(map(type, rows)) <= {list} or not set(map(len, rows)) <= {length}:
+        return None
+    pairs = list(chain.from_iterable(rows))
+    if not set(map(type, pairs)) <= {list} or not set(map(len, pairs)) <= {2}:
+        return None
+    flat = list(chain.from_iterable(pairs))
+    if not set(map(type, flat)) <= {int, float}:
+        return None
+    try:
+        values = np.array(flat, dtype=np.float64)
+    except OverflowError:  # an int beyond the float range
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return values.view(np.complex128).reshape(len(rows), length)
+
+
+def _pairs(a) -> list:
+    """Nested ``[re, im]`` lists of a complex array, one level per axis."""
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    return a.view(np.float64).reshape(a.shape + (2,)).tolist()
+
+
 def load_complex(obj, where: str = "complex") -> complex:
     """One scalar from a ``[re, im]`` pair."""
     if not isinstance(obj, list) or len(obj) != 2:
@@ -88,6 +133,9 @@ def load_vector(obj, length: int, where: str = "vector") -> np.ndarray:
         raise FormatError(f"{where}: expected a list of complex entries")
     if len(obj) != length:
         raise FormatError(f"{where}: expected {length} entries, got {len(obj)}")
+    bulk = _bulk_pairs([obj], length)
+    if bulk is not None:
+        return bulk[0]
     out = np.zeros(length, dtype=np.complex128)
     for i, entry in enumerate(obj):
         out[i] = load_complex(entry, f"{where}[{i}]")
@@ -95,7 +143,7 @@ def load_vector(obj, length: int, where: str = "vector") -> np.ndarray:
 
 
 def dump_vector(v) -> list:
-    return [dump_complex(z) for z in np.asarray(v, dtype=np.complex128).ravel()]
+    return _pairs(np.ravel(v))
 
 
 def load_matrix(obj, rows: int, cols: int, where: str = "matrix") -> np.ndarray:
@@ -104,6 +152,9 @@ def load_matrix(obj, rows: int, cols: int, where: str = "matrix") -> np.ndarray:
         raise FormatError(f"{where}: expected a list of rows")
     if len(obj) != rows:
         raise FormatError(f"{where}: expected {rows} rows, got {len(obj)}")
+    bulk = _bulk_pairs(obj, cols)
+    if bulk is not None:
+        return bulk
     out = np.zeros((rows, cols), dtype=np.complex128)
     for i, row in enumerate(obj):
         out[i] = load_vector(row, cols, f"{where}[{i}]")
@@ -114,10 +165,13 @@ def dump_matrix(m) -> list:
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2:
         raise FormatError(f"matrix dump: expected 2 dimensions, got {m.ndim}")
-    return [dump_vector(row) for row in m]
+    return _pairs(m)
 
 
 def _columns(entries: list, length: int, where: str) -> np.ndarray:
+    bulk = _bulk_pairs(entries, length)
+    if bulk is not None:
+        return np.ascontiguousarray(bulk.T)
     cols = np.zeros((length, len(entries)), dtype=np.complex128)
     for j, entry in enumerate(entries):
         cols[:, j] = load_vector(entry, length, f"{where}[{j}]")
@@ -137,7 +191,7 @@ def load_subspace(obj, tol: Tolerances = DEFAULT_TOL,
 def dump_subspace(s: Subspace) -> dict:
     return {
         "ambient_dim": s.ambient_dim,
-        "basis": [dump_vector(col) for col in s.basis.T],
+        "basis": _pairs(s.basis.T),
     }
 
 
@@ -189,7 +243,7 @@ def dump_relation(rel: LinearRelation, validated: bool = False) -> dict:
         "dim_out": rel.dim_out,
         "repr": {
             "type": "graph",
-            "basis": [dump_vector(col) for col in rel.graph.basis.T],
+            "basis": _pairs(rel.graph.basis.T),
         },
         "dom_dim": rel.dom.dim,
         "ran_dim": rel.ran.dim,
@@ -232,5 +286,107 @@ def dump_block_representation(rep) -> dict:
 
 
 def dumps(obj) -> str:
-    """Deterministic JSON text: sorted keys, repr floats, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Deterministic JSON text: sorted keys, repr floats, trailing newline.
+
+    The bytes are those of ``json.dumps(obj, sort_keys=True, indent=2,
+    allow_nan=False) + "\n"``, errors included.
+    """
+    out = []
+    try:
+        _write(obj, 0, out)
+    except RecursionError:
+        # a cycle, or nesting deeper than the stack: json reports either
+        return _json_dumps(obj) + "\n"
+    out.append("\n")
+    return "".join(out)
+
+
+_INDENT = "  "
+
+
+def _json_dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+
+
+def _float(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return _json_dumps(x)  # raises the json module's ValueError
+
+
+def _write(obj, level: int, out: list) -> None:
+    """Append the json encoding of ``obj`` at nesting ``level`` to ``out``.
+
+    The type tests run in the json encoder's order: str, None, bools, int
+    (so bool is never an int here), float, list or tuple, dict.
+    """
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_float(obj))
+    elif isinstance(obj, (list, tuple)):
+        _write_list(obj, level, out)
+    elif isinstance(obj, dict) and all(type(k) is str for k in obj):
+        _write_dict(obj, level, out)
+    else:
+        # non-string keys or a type json rejects: its own text or error,
+        # with the later lines shifted to this depth
+        out.append(_json_dumps(obj).replace("\n", "\n" + _INDENT * level))
+
+
+def _write_list(seq, level: int, out: list) -> None:
+    if not seq:
+        out.append("[]")
+        return
+    text = _pair_list(seq, level)
+    if text is not None:
+        out.append(text)
+        return
+    inner = "\n" + _INDENT * (level + 1)
+    out.append("[")
+    sep = inner
+    for item in seq:
+        out.append(sep)
+        sep = "," + inner
+        _write(item, level + 1, out)
+    out.append("\n" + _INDENT * level + "]")
+
+
+def _pair_list(seq: list, level: int):
+    """The text of a list of finite ``[re, im]`` float pairs, or None.
+
+    One ``%`` call formats the whole list; ``%r`` of a ``float`` is
+    ``float.__repr__``.  Anything else (other types, non-finite values) is
+    left to the general path, which writes or rejects it item by item.
+    """
+    if set(map(type, seq)) != {list} or set(map(len, seq)) != {2}:
+        return None
+    flat = tuple(chain.from_iterable(seq))
+    if set(map(type, flat)) != {float} or not all(map(math.isfinite, flat)):
+        return None
+    inner = "\n" + _INDENT * (level + 1)
+    pair = "[" + inner + _INDENT + "%r," + inner + _INDENT + "%r" + inner + "]"
+    body = ("," + inner).join([pair] * len(seq))
+    return ("[" + inner + body + "\n" + _INDENT * level + "]") % flat
+
+
+def _write_dict(obj: dict, level: int, out: list) -> None:
+    if not obj:
+        out.append("{}")
+        return
+    inner = "\n" + _INDENT * (level + 1)
+    out.append("{")
+    sep = inner
+    for key in sorted(obj):
+        out.append(sep + encode_basestring_ascii(key) + ": ")
+        sep = "," + inner
+        _write(obj[key], level + 1, out)
+    out.append("\n" + _INDENT * level + "}")

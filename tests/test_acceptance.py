@@ -4,9 +4,11 @@ Run with ``-s`` to see the verdict lines on passing runs; under plain ``-v``
 the per-test PASSED/FAILED markers carry the same information.
 """
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from linrel.schur import (
 from linrel.subspace import Subspace, invariance_report
 
 ORACLE_SEED = 4242
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 E1 = np.array([1.0, 0.0], dtype=complex)
 E2 = np.array([0.0, 1.0], dtype=complex)
@@ -189,9 +192,13 @@ def test_criterion_8_degenerate_instances():
 def test_criterion_9_deterministic_verification():
     cmd = [sys.executable, "-m", "linrel.cli", "verify",
            "--seed", "7", "--trials", "500", "--max-dim", "8"]
+    # the child imports linrel from this checkout's src, as pytest does
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
     start = time.monotonic()
-    first = subprocess.run(cmd, capture_output=True, text=True)
-    second = subprocess.run(cmd, capture_output=True, text=True)
+    first = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, text=True, env=env)
     elapsed = time.monotonic() - start
     ok = (first.returncode == 0 and second.returncode == 0
           and first.stdout == second.stdout and elapsed < 60.0)

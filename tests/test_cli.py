@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from linrel import cli
 from linrel.cli import main
 from linrel.relation import LinearRelation, identity_relation
 from linrel.serialize import dump_relation, dump_subspace, dumps, load_relation
@@ -223,3 +224,56 @@ def test_tolerance_flags_reach_the_pipeline(e2_files, capsys):
                                  "--tol-eq", "1e-6", "--tol-rank", "1e-9"])
     assert code == 0
     assert json.loads(out)["method"] == "formula"
+
+
+def test_huge_integer_entry_exits_2(tmp_path, capsys):
+    rel, sub = (_relation_file(tmp_path, "rel.json", np.eye(2)),
+                _subspace_file(tmp_path, "sub.json", [[1.0, 0.0]], 2))
+    huge = "1" + "0" * 400
+    bad_sub = tmp_path / "huge_sub.json"
+    bad_sub.write_text('{"ambient_dim": 2, "basis": [[[0.0, 0.0], [%s, 0.0]]]}' % huge)
+    bad_rel = tmp_path / "huge_rel.json"
+    bad_rel.write_text('{"dim_in": 1, "dim_out": 1, "repr": {"type": "graph", '
+                       '"basis": [[[1.0, 0.0], [0.0, -%s]]]}}' % huge)
+    for argv in (["schur", "--relation", rel, "--subspace", str(bad_sub)],
+                 ["schur", "--relation", str(bad_rel), "--subspace", sub]):
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "too large" in err
+
+
+@pytest.mark.parametrize("content", [
+    b'{"dim_in": ' + b"9" * 5000 + b', "dim_out": 1}',  # past the int digit limit
+    b'\xff\xfe{"dim_in": 1}',                          # not UTF-8
+])
+def test_undecodable_input_exits_2(tmp_path, capsys, content):
+    sub = _subspace_file(tmp_path, "sub.json", [[1.0, 0.0]], 2)
+    bad_rel = tmp_path / "bad.json"
+    bad_rel.write_bytes(content)
+    code, out, err = _run(capsys, ["schur", "--relation", str(bad_rel),
+                                   "--subspace", sub])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "invalid JSON" in err
+
+
+def test_json_mode_renders_no_text(tmp_path, capsys, monkeypatch):
+    calls = []
+    fmt = cli._fmt_complex
+    monkeypatch.setattr(cli, "_fmt_complex", lambda z: calls.append(z) or fmt(z))
+    rel, sub = str(tmp_path / "r.json"), str(tmp_path / "s.json")
+    gen = ["gen", "--ambient-dim", "4", "--s-dim", "2", "--d1-dim", "1",
+           "--d2-dim", "2", "--seed", "5", "--out-relation", rel,
+           "--out-subspace", sub]
+    commands = [gen,
+                ["block", "--relation", rel, "--subspace", sub],
+                ["schur", "--relation", rel, "--subspace", sub],
+                ["compress", "--relation", rel, "--subspace", sub]]
+    for argv in commands:
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    assert calls == []
+    for argv in commands:
+        code, out, _ = _run(capsys, argv + ["--format", "text"])
+        assert code == 0 and "j" in out
+    assert calls
