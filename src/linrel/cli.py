@@ -35,7 +35,8 @@ def _load_json_file(path: str):
             return json.load(fh)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, int digit limit
+    # JSONDecodeError, UnicodeDecodeError, the int digit limit, too deep a nesting
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
 
 

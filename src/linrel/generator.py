@@ -22,7 +22,7 @@ import numpy as np
 from . import kernel
 from .errors import SpecInvalidError
 from .kernel import DEFAULT_TOL, Tolerances
-from .nonneg import NonnegSelfAdjointRelation, validate
+from .nonneg import NonnegSelfAdjointRelation
 from .relation import LinearRelation
 from .subspace import Subspace, require_invariant
 
@@ -128,8 +128,9 @@ def generate(spec: InstanceSpec,
 
     Draw order is fixed (S, then the two domain slices, then the operator
     spectrum), so output is a deterministic function of the spec.  The
-    returned relation is validated and its domain is invariant under the
-    projection onto the returned subspace by construction.
+    returned relation is the drawn form on the drawn domain, and its domain
+    is invariant under the projection onto the returned subspace by
+    construction.
     """
     rng = rng_for(spec.seed)
     n = spec.ambient_dim
@@ -144,10 +145,8 @@ def generate(spec: InstanceSpec,
         raise SpecInvalidError("domain frame was rank deficient; choose another seed")
     dom_basis = np.hstack([s.basis @ d1_coords, s_perp.basis @ d2_coords])
     dom = Subspace(n, dom_basis)
-    mul = dom.complement()
 
     form = random_psd(rng, dom.dim, spec.spectrum_scale)
-    rel = LinearRelation.from_operator_and_mul(dom, form, mul, tol=tol)
-    out = validate(rel, tol)
+    out = NonnegSelfAdjointRelation(dom, form, tol)
     require_invariant(out.dom, s, tol)
     return out, s

@@ -2,10 +2,14 @@
 
 A square relation A is selfadjoint when it equals its adjoint, and
 nonnegative when the quadratic form of its operator part is positive
-semidefinite on the domain.  For such A the operator part A0 is a genuine
-Hermitian PSD operator on the closed domain and the multivalued part is the
-orthogonal complement of the domain.  The square root keeps the multivalued
-part and takes the operator root of A0.
+semidefinite on the domain.  In finite dimension such A is exactly its form:
+a domain U and a Hermitian PSD operator A0 on it, with the multivalued part
+the orthogonal complement of U.  The form is what is stored; the graph is
+built from it on first use.  :func:`validate` certifies what is not proven:
+input from outside and the outputs of the relation calculus (Gram products,
+block corners).  Roots, scalings, generated instances, Friedrichs extensions
+and Schur complements are nonnegative selfadjoint by construction and are
+built from their form without it.
 
 The partial order compares quadratic form norms: A <= B demands that the
 domain of B's root be contained in the domain of A's root and that the root
@@ -31,7 +35,7 @@ from .errors import (
     OrderViolatedError,
 )
 from .kernel import DEFAULT_TOL, Tolerances
-from .relation import LinearRelation, OperatorPartDecomposition, mul_only
+from .relation import LinearRelation
 from .subspace import Subspace
 
 __all__ = [
@@ -47,36 +51,33 @@ __all__ = [
 
 
 class NonnegSelfAdjointRelation:
-    """A validated nonnegative selfadjoint relation plus cached structure.
+    """A nonnegative selfadjoint relation, stored as its form (dom, A0).
 
-    Instances are only created by :func:`validate` (or operations that prove
-    the property), so holding one is a certificate.  The wrapped relation,
-    its operator-part decomposition and the compressed Hermitian form matrix
-    are fixed at construction; the square root is computed on first use.
+    ``op_compressed`` is the Hermitian PSD A0 in the coordinates of the
+    orthonormal domain basis; mul is the domain's complement.  Instances come
+    from :func:`validate` or from operations that prove the property, so
+    holding one is a certificate.  The graph ``rel`` is built on first use,
+    or is the relation :func:`validate` certified.
     """
 
-    def __init__(self, rel: LinearRelation, decomposition: OperatorPartDecomposition,
-                 tol: Tolerances):
-        self.rel = rel
-        self.decomposition = decomposition
+    def __init__(self, dom: Subspace, a0, tol: Tolerances):
+        self.dom = dom
+        self.op_compressed = kernel.as_matrix(a0, (dom.dim, dom.dim))
         self.tol = tol
 
     @property
     def dim(self) -> int:
-        return self.rel.dim_in
-
-    @property
-    def dom(self) -> Subspace:
-        return self.decomposition.domain
+        return self.dom.ambient_dim
 
     @property
     def mul(self) -> Subspace:
-        return self.decomposition.mul
+        return self.dom.complement()
 
     @cached_property
-    def op_compressed(self) -> np.ndarray:
-        """Operator part in domain-basis coordinates; Hermitian PSD."""
-        return kernel.hermitian_part(self.decomposition.compressed())
+    def rel(self) -> LinearRelation:
+        """The graph: A0 on the domain plus ``{0} x mul``."""
+        return LinearRelation.from_operator_and_mul(
+            self.dom, self.op_compressed, self.mul, tol=self.tol)
 
     @cached_property
     def op_ambient(self) -> np.ndarray:
@@ -92,12 +93,8 @@ class NonnegSelfAdjointRelation:
 
     @cached_property
     def _sqrt(self) -> "NonnegSelfAdjointRelation":
-        root = kernel.psd_sqrt(self.op_compressed, self.tol)
-        rel = LinearRelation.from_operator_and_mul(self.dom, root, self.mul, tol=self.tol)
-        out = validate(rel, self.tol)
-        if not out.dom.equals(self.dom, self.tol) or not out.mul.equals(self.mul, self.tol):
-            raise InternalInconsistencyError("square root changed the domain or mul")
-        return out
+        return NonnegSelfAdjointRelation(
+            self.dom, kernel.psd_sqrt(self.op_compressed, self.tol), self.tol)
 
     def sqrt(self) -> "NonnegSelfAdjointRelation":
         """Square root: operator root of A0 plus the untouched mul part."""
@@ -113,18 +110,18 @@ class NonnegSelfAdjointRelation:
 
         At c = 0 this is the zero operator on the domain together with the
         multivalued part, which stays selfadjoint; plain graph scaling would
-        drop the mul and leave the selfadjoint class.
+        drop the mul and leave the selfadjoint class.  A negative or
+        non-finite factor, or an overflowing product, raises ``ValueError``.
         """
-        if c < 0:
-            raise ValueError("scale factor must be nonnegative")
-        rel = LinearRelation.from_operator_and_mul(
-            self.dom, c * self.op_compressed, self.mul, tol=self.tol
-        )
-        return validate(rel, self.tol)
+        c = float(c)
+        if not 0.0 <= c < np.inf:
+            raise ValueError(f"scale factor must be nonnegative and finite, got {c}")
+        with np.errstate(over="ignore"):  # the constructor rejects an inf entry
+            return NonnegSelfAdjointRelation(self.dom, c * self.op_compressed, self.tol)
 
     def to_matrix(self) -> np.ndarray:
         """Full matrix when the relation is an everywhere-defined operator."""
-        if self.dom.dim != self.dim or self.mul.dim != 0:
+        if self.dom.dim != self.dim:
             raise DimensionMismatchError(
                 "relation is not an everywhere-defined operator"
             )
@@ -136,7 +133,8 @@ def validate(t: LinearRelation, tol: Tolerances = DEFAULT_TOL) -> NonnegSelfAdjo
 
     Checks, in order: the relation is square; it equals its adjoint within
     the projector gap tolerance; the compressed operator part is Hermitian
-    with spectrum above ``-eq_abs``.  Returns the certified wrapper.
+    with spectrum above ``-eq_abs``.  Returns the certified form, which
+    keeps ``t`` as its graph.
     """
     if t.dim_in != t.dim_out:
         raise DimensionMismatchError(
@@ -155,8 +153,9 @@ def validate(t: LinearRelation, tol: Tolerances = DEFAULT_TOL) -> NonnegSelfAdjo
             raise NotSelfAdjointError(
                 f"operator part is not Hermitian (defect {herm_defect:.3e})"
             )
-    if comp.shape[0]:
-        w = np.linalg.eigvalsh(kernel.hermitian_part(comp))
+    form = kernel.hermitian_part(comp)
+    if form.shape[0]:
+        w = np.linalg.eigvalsh(form)
         if float(w[0]) < -tol.eq_abs:
             raise NotNonnegativeError(
                 f"form eigenvalue {float(w[0]):.3e} below -eq_abs", witness=float(w[0])
@@ -164,7 +163,9 @@ def validate(t: LinearRelation, tol: Tolerances = DEFAULT_TOL) -> NonnegSelfAdjo
     # selfadjointness forces mul = dom-perp; a failure here is a kernel bug
     if not dec.mul.equals(dec.domain.complement(), tol):
         raise InternalInconsistencyError("mul differs from the domain complement")
-    return NonnegSelfAdjointRelation(t, dec, tol)
+    out = NonnegSelfAdjointRelation(dec.domain, form, tol)
+    out.rel = t
+    return out
 
 
 def _root_gram(a: NonnegSelfAdjointRelation, basis: np.ndarray) -> np.ndarray:
@@ -257,9 +258,8 @@ def gram_with_diagnostics(t: LinearRelation, tol: Tolerances = DEFAULT_TOL):
         "op_with_op": product.graph_gap(t0.adjoint().compose(t0, tol)),
         "kernel": out.rel.ker.gap(t.ker),
         "mul": out.rel.mul.gap(adj.mul),
-        "op_parts": out.decomposition.as_relation(tol).graph_gap(
-            adj0.compose(t0, tol)
-        ),
+        "op_parts": product.operator_part(tol).as_relation(tol).graph_gap(
+            adj0.compose(t0, tol)),
     }
     return out, diagnostics
 
@@ -298,8 +298,7 @@ def friedrichs(t: LinearRelation, tol: Tolerances = DEFAULT_TOL) -> NonnegSelfAd
             raise NotNonnegativeError(
                 f"form eigenvalue {wmin:.3e} below -eq_abs", witness=wmin
             )
-    extension = dec.as_relation(tol).cw_sum(mul_only(dec.domain.complement(), tol=tol), tol)
-    out = validate(extension, tol)
-    if not extension.includes(t, tol):
+    out = NonnegSelfAdjointRelation(dec.domain, form, tol)
+    if not out.rel.includes(t, tol):
         raise InternalInconsistencyError("Friedrichs extension does not extend the input")
     return out

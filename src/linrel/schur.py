@@ -44,7 +44,6 @@ from .nonneg import (
     gram_with_diagnostics,
     leq,
     leq_report,
-    validate,
 )
 from .relation import LinearRelation, mul_only, zero_operator_on
 from .subspace import Subspace
@@ -128,8 +127,10 @@ def schur_analysis(a_rel: NonnegSelfAdjointRelation, s: Subspace,
            .cw_sum(mul_only(rep.m2, tol=tol), tol))
     diag["far_gram_alt_gap"] = float(tt.graph_gap(alt))
 
-    # complement: zero on S everywhere, T* T on the far block
-    schur = validate(tt.cw_sum(zero_operator_on(rep.s, tol=tol), tol), tol)
+    # complement: the orthogonal sum of zero on S and T* T on the far block
+    schur = NonnegSelfAdjointRelation(
+        Subspace(a_rel.dim, np.hstack([rep.s.basis, sp.basis @ tt_c.dom.basis])),
+        np.pad(tt_c.op_compressed, (rep.s.dim, 0)), tol)
     diag["schur_ran_outside_far"] = float(sp.containment_defect(schur.rel.ran))
     ok, below = leq_report(schur, a_rel, tol)
     diag["schur_below_defect"] = float(below)
@@ -237,6 +238,7 @@ def maximality_probe(res: SchurResult, *, seed: int = 0,
     sp = res.rep.s_perp
     schur = res.schur
     scale_cap = float(kernel.opnorm(a_rel.op_compressed)) + 1.0
+    full = Subspace.full(a_rel.dim)
 
     members = 0
     rejected = 0
@@ -249,8 +251,7 @@ def maximality_probe(res: SchurResult, *, seed: int = 0,
         else:
             lam = float(rng.uniform(0.0, scale_cap))
             m = random_psd(rng, sp.dim, scale=lam)
-            amb = sp.basis @ m @ sp.basis.conj().T
-            x = validate(LinearRelation.from_matrix(amb, tol), tol)
+            x = NonnegSelfAdjointRelation(full, sp.basis @ m @ sp.basis.conj().T, tol)
         if not is_member(a_rel, s, x, tol):
             rejected += 1
             continue

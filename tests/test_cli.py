@@ -256,6 +256,16 @@ def test_undecodable_input_exits_2(tmp_path, capsys, content):
     assert err.startswith("error: ") and "invalid JSON" in err
 
 
+def test_deeply_nested_input_exits_2(tmp_path, capsys):
+    sub = _subspace_file(tmp_path, "sub.json", [[1.0, 0.0]], 2)
+    bad_rel = tmp_path / "nested.json"
+    bad_rel.write_text("[" * 100000)
+    code, out, err = _run(capsys, ["schur", "--relation", str(bad_rel),
+                                   "--subspace", sub])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "invalid JSON" in err and "recursion" in err
+
+
 def test_json_mode_renders_no_text(tmp_path, capsys, monkeypatch):
     calls = []
     fmt = cli._fmt_complex

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from linrel import generator
 from linrel.block import analyze
 from linrel.errors import SpecInvalidError
 from linrel.generator import (
@@ -72,6 +73,23 @@ def test_generate_spectrum_scale():
     a, _ = generate(spec)
     w = np.linalg.eigvalsh(a.op_compressed)
     assert w[-1] <= 0.001 + 1e-12 and w[0] >= -1e-12
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e9])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_generate_at_both_ends_of_the_scale(monkeypatch, scale, seed):
+    drawn = []
+
+    def recording_psd(*args, **kwargs):
+        drawn.append(random_psd(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(generator, "random_psd", recording_psd)
+    a, _ = generate(InstanceSpec(8, 4, 4, 4, seed=seed, spectrum_scale=scale))
+    assert len(drawn) == 1
+    assert np.array_equal(a.op_compressed, drawn[0])
+    w = np.linalg.eigvalsh(a.op_compressed)
+    assert w[0] >= -1e-12 * scale and w[-1] <= scale * (1 + 1e-12)
 
 
 def test_battery_covers_degenerate_shapes(battery):

@@ -1,5 +1,7 @@
 """Nonnegative selfadjoint relations: certification, roots, form order."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,16 @@ def test_sqrt_squares_back(battery):
 def test_scale():
     a = _e2_relation()
     assert np.allclose(a.scale(3.0).to_matrix(), [[6.0, 3.0], [3.0, 3.0]], atol=1e-12)
+
+
+@pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf, -1.0, 1e308])
+def test_scale_rejects_bad_factors_without_warnings(c):
+    # 1e308 is a valid factor, but its product with the form overflows
+    a = _e2_relation()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            a.scale(c)
 
 
 def test_leq_reflexive_and_top():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import linrel
-from linrel import block, kernel, schur
+from linrel import block, kernel, nonneg, schur
 from linrel.errors import InternalInconsistencyError
 from linrel.generator import InstanceSpec, generate
 from linrel.kernel import Tolerances
@@ -50,6 +50,50 @@ def test_verify_analyzes_each_instance_once(monkeypatch):
     report = run_verification(seed=5, trials=trials, max_dim=4)
     assert report.ok
     assert len(calls) == trials
+
+
+def _count_validate(monkeypatch):
+    calls = []
+    counting = _counting(nonneg.validate, calls)
+    assert _patch_bindings(monkeypatch, nonneg.validate, "validate", counting)
+    return calls
+
+
+def test_relations_proven_by_construction_are_not_revalidated(monkeypatch):
+    calls = _count_validate(monkeypatch)
+    a, s = generate(InstanceSpec(ambient_dim=6, s_dim=3, d1_dim=2, d2_dim=2, seed=1))
+    a.sqrt()
+    a.scale(0.5)
+    partial = LinearRelation.from_operator_and_mul(
+        Subspace(2, np.eye(2)[:, :1]), np.eye(1), Subspace.zero(2))
+    nonneg.friedrichs(partial)
+    assert calls == []
+
+    # the two diagonal corners and the two Gram products; the complement
+    # is the orthogonal sum of the far Gram product and zero on S
+    res = schur.schur_analysis(a, s)
+    assert len(calls) == 4
+    calls.clear()
+    schur.maximality_probe(res, samples=10)
+    assert calls == []
+
+
+def test_verify_validates_seven_relations_per_trial(monkeypatch):
+    calls = _count_validate(monkeypatch)
+    trials = 3
+    report = run_verification(seed=5, trials=trials, max_dim=4)
+    assert report.ok
+    assert len(calls) == 7 * trials
+
+
+def test_validate_keeps_its_input_and_form_results_keep_mul():
+    a, s = generate(InstanceSpec(ambient_dim=6, s_dim=3, d1_dim=2, d2_dim=2, seed=1))
+    t = a.rel
+    assert nonneg.validate(t).rel is t
+    res = schur.schur_analysis(a, s)
+    for x in (a.sqrt(), a.scale(0.5), a.scale(0.0), res.schur):
+        assert x.mul.equals(x.dom.complement())
+        assert x.rel.mul.equals(x.mul) and x.rel.dom.equals(x.dom)
 
 
 def test_verify_computes_projected_root_image_defect_once(monkeypatch):
