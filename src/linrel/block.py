@@ -29,7 +29,7 @@ import numpy as np
 
 from . import kernel
 from .errors import ComponentMismatchError, InternalInconsistencyError
-from .kernel import DEFAULT_TOL, Tolerances
+from .kernel import Tolerances
 from .nonneg import NonnegSelfAdjointRelation, validate
 from .relation import LinearRelation, mul_only
 from .subspace import Subspace, require_invariant
@@ -46,7 +46,8 @@ class BlockRepresentation:
     in the ambient space with graphs inside the component products.
     Coordinate blocks ``a0, b0, c0, d0`` express A's operator part in the
     bases of ``d1`` and ``d2``.  The matrices ``v1, v2, g, dg`` are
-    ambient-sized, supported on the component subspaces.
+    ambient-sized, supported on the component subspaces.  ``tol`` is the
+    relation's.
     """
 
     relation: NonnegSelfAdjointRelation
@@ -72,8 +73,11 @@ class BlockRepresentation:
     d_sqrt: LinearRelation
     a0_sqrt: np.ndarray
     d0_sqrt: np.ndarray
-    tol: Tolerances
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def tol(self) -> Tolerances:
+        return self.relation.tol
 
 
 def _check_component(rel: LinearRelation, dom_space: Subspace, ran_space: Subspace,
@@ -92,16 +96,15 @@ def _check_component(rel: LinearRelation, dom_space: Subspace, ran_space: Subspa
 
 
 def assemble(a: LinearRelation, b: LinearRelation, c: LinearRelation,
-             d: LinearRelation, s: Subspace,
-             tol: Tolerances = DEFAULT_TOL) -> LinearRelation:
+             d: LinearRelation, s: Subspace) -> LinearRelation:
     """Relation generated by a 2x2 block of relations along S + S-perp.
 
     The result pairs x = x1 + x2 with y = (w1 + z1) + (w2 + z2) where
     (x1, w1) in a, (x2, z1) in b, (x1, w2) in c, (x2, z2) in d.  Its domain
     is (dom a meet dom c) + (dom b meet dom d) and its multivalued part is
-    (mul a + mul b) + (mul c + mul d).
+    (mul a + mul b) + (mul c + mul d).  It is built under ``a.tol``.
     """
-    n = s.ambient_dim
+    n, tol = s.ambient_dim, a.tol
     for rel in (a, b, c, d):
         if rel.dim_in != n or rel.dim_out != n:
             raise ComponentMismatchError("blocks must be relations on the ambient space")
@@ -150,17 +153,17 @@ def _partial_isometry(corner: np.ndarray, frame: np.ndarray, root_ambient: np.nd
     return kernel.nearest_isometry(images) @ initial.conj().T
 
 
-def analyze(a_rel: NonnegSelfAdjointRelation, s: Subspace,
-            tol: Tolerances = DEFAULT_TOL) -> BlockRepresentation:
+def analyze(a_rel: NonnegSelfAdjointRelation, s: Subspace) -> BlockRepresentation:
     """Decompose a nonnegative selfadjoint relation along S + S-perp.
 
     Requires the orthogonal projection onto ``s`` to leave dom(A) invariant;
     raises :class:`InvarianceViolatedError` with a witness vector otherwise.
     The returned representation carries every derived object plus a
     diagnostics dict of identity residuals; the assembled corners are checked
-    against A before returning.
+    against A before returning.  Every rank decision runs under
+    ``a_rel.tol``.
     """
-    big = a_rel
+    big, tol = a_rel, a_rel.tol
     n = big.dim
     if s.ambient_dim != n:
         raise ComponentMismatchError("subspace must live in the relation's space")
@@ -178,16 +181,16 @@ def analyze(a_rel: NonnegSelfAdjointRelation, s: Subspace,
         "s_perp_split": d2.add(m2, tol).gap(sp),
     }
 
-    restricted_s = big.rel.restrict(s, tol)
-    restricted_sp = big.rel.restrict(sp, tol)
-    a = restricted_s.map_output(s.projector, tol)
-    b = restricted_sp.map_output(s.projector, tol)
-    c = restricted_s.map_output(sp.projector, tol)
-    d = restricted_sp.map_output(sp.projector, tol)
+    restricted_s = big.rel.restrict(s)
+    restricted_sp = big.rel.restrict(sp)
+    a = restricted_s.map_output(s.projector)
+    b = restricted_sp.map_output(s.projector)
+    c = restricted_s.map_output(sp.projector)
+    d = restricted_sp.map_output(sp.projector)
 
     # diagonal corners are nonnegative selfadjoint within their components
-    a_diag = validate(a.compress_to(s, s, tol), tol)
-    d_diag = validate(d.compress_to(sp, sp, tol), tol)
+    a_diag = validate(a.compress_to(s, s))
+    d_diag = validate(d.compress_to(sp, sp))
 
     op_amb = big.op_ambient
     b1, b2 = d1.basis, d2.basis
@@ -218,10 +221,10 @@ def analyze(a_rel: NonnegSelfAdjointRelation, s: Subspace,
         a=a_diag.rel.embed_from(s, s), b=b, c=c, d=d_diag.rel.embed_from(sp, sp),
         a0=a0, b0=b0, c0=c0, d0=d0, v1=v1, v2=v2, g=g, dg=dg,
         a_sqrt=a_sqrt, d_sqrt=d_sqrt, a0_sqrt=a0_sqrt, d0_sqrt=d0_sqrt,
-        tol=tol, diagnostics=diagnostics,
+        diagnostics=diagnostics,
     )
 
-    assembled = assemble(rep.a, rep.b, rep.c, rep.d, s, tol)
+    assembled = assemble(rep.a, rep.b, rep.c, rep.d, s)
     diagnostics["assemble_roundtrip"] = assembled.graph_gap(big.rel)
     if diagnostics["assemble_roundtrip"] > tol.eq_abs:
         raise InternalInconsistencyError(
@@ -233,16 +236,14 @@ def analyze(a_rel: NonnegSelfAdjointRelation, s: Subspace,
 
 def reconstruct_b(rep: BlockRepresentation) -> LinearRelation:
     """The relation a^(1/2) g d^(1/2)|_D2, which must equal corner b."""
-    tol = rep.tol
-    chain = rep.d_sqrt.restrict(rep.d2, tol).map_output(rep.g, tol)
-    return rep.a_sqrt.compose(chain, tol)
+    chain = rep.d_sqrt.restrict(rep.d2).map_output(rep.g)
+    return rep.a_sqrt.compose(chain)
 
 
 def reconstruct_c(rep: BlockRepresentation) -> LinearRelation:
     """The relation d^(1/2) g* a^(1/2)|_D1, which must equal corner c."""
-    tol = rep.tol
-    chain = rep.a_sqrt.restrict(rep.d1, tol).map_output(rep.g.conj().T, tol)
-    return rep.d_sqrt.compose(chain, tol)
+    chain = rep.a_sqrt.restrict(rep.d1).map_output(rep.g.conj().T)
+    return rep.d_sqrt.compose(chain)
 
 
 def operator_block(rep: BlockRepresentation) -> tuple[np.ndarray, ...]:
@@ -261,7 +262,7 @@ def operator_block(rep: BlockRepresentation) -> tuple[np.ndarray, ...]:
         single = LinearRelation.from_images_and_mul(
             dom, images, Subspace.zero(dom.ambient_dim), tol=tol
         )
-        rebuilt = single.cw_sum(mul_only(mul_slice, tol=tol), tol)
+        rebuilt = single.cw_sum(mul_only(mul_slice, tol=tol))
         return corner.graph_gap(rebuilt)
 
     gaps = {
@@ -295,8 +296,8 @@ def factorize(rep: BlockRepresentation) -> tuple[np.ndarray, LinearRelation]:
         big.dom, m_z @ big.dom.basis, Subspace.zero(big.dim), tol=tol
     )
     w = rep.d1.projector + rep.g + rep.dg @ rep.d2.projector
-    wz = z.map_output(w, tol)
-    product = wz.adjoint().compose(wz, tol)
+    wz = z.map_output(w)
+    product = wz.adjoint().compose(wz)
     gap = product.graph_gap(big.rel)
     rep.diagnostics["factorize_gap"] = gap
     if gap > tol.eq_abs:

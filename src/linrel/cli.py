@@ -42,7 +42,7 @@ def _load_json_file(path: str):
 
 def _load_validated(path: str, tol: Tolerances) -> NonnegSelfAdjointRelation:
     rel = serialize.load_relation(_load_json_file(path), tol, where=path)
-    return validate(rel, tol)
+    return validate(rel)
 
 
 def _load_subspace(path: str, tol: Tolerances):
@@ -134,7 +134,7 @@ def _cmd_gen(args, tol: Tolerances) -> int:
 def _cmd_block(args, tol: Tolerances) -> int:
     a = _load_validated(args.relation, tol)
     s = _load_subspace(args.subspace, tol)
-    rep = analyze(a, s, tol)
+    rep = analyze(a, s)
     obj = serialize.dump_block_representation(rep)
 
     def render():
@@ -154,7 +154,7 @@ def _cmd_block(args, tol: Tolerances) -> int:
 def _cmd_schur(args, tol: Tolerances) -> int:
     a = _load_validated(args.relation, tol)
     s = _load_subspace(args.subspace, tol)
-    res = schur_analysis(a, s, tol)
+    res = schur_analysis(a, s)
     diagnostics = serialize.dump_diagnostics(res.diagnostics)
 
     pk = pekarev(res)
@@ -181,7 +181,7 @@ def _cmd_schur(args, tol: Tolerances) -> int:
                 "anderson-trapp requires an everywhere-defined operator "
                 "(full domain, trivial multivalued part)"
             )
-        chosen = validate(LinearRelation.from_matrix(at_matrix, tol), tol)
+        chosen = validate(LinearRelation.from_matrix(at_matrix, tol))
 
     obj = {
         "method": args.method,
@@ -205,7 +205,7 @@ def _cmd_schur(args, tol: Tolerances) -> int:
 def _cmd_compress(args, tol: Tolerances) -> int:
     a = _load_validated(args.relation, tol)
     s = _load_subspace(args.subspace, tol)
-    res = schur_analysis(a, s, tol)
+    res = schur_analysis(a, s)
     diagnostics = serialize.dump_diagnostics(res.diagnostics)
     obj = {
         "compression": serialize.dump_relation(res.compression.rel, validated=True),
@@ -223,8 +223,8 @@ def _cmd_compress(args, tol: Tolerances) -> int:
 def _cmd_order(args, tol: Tolerances) -> int:
     a = _load_validated(args.a, tol)
     b = _load_validated(args.b, tol)
-    ab = leq(a, b, tol)
-    ba = leq(b, a, tol)
+    ab = leq(a, b)
+    ba = leq(b, a)
     if ab and ba:
         verdict = "both (equal)"
     elif ab:

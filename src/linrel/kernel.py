@@ -3,9 +3,10 @@
 All numerical rank decisions in the package go through this module and use a
 single policy: a singular value counts as nonzero when it exceeds
 ``rank_rel * max(sigma_max, 1)``.  Equality of subspaces and relations is
-judged by projector gap against the absolute tolerance ``eq_abs``.  Keeping
-both knobs in one :class:`Tolerances` object and threading it through every
-operation is what makes results reproducible across the whole pipeline.
+judged by projector gap against the absolute tolerance ``eq_abs``.  Both
+knobs live in one :class:`Tolerances` object, given once where a computation
+starts: the functions here take it as an argument, and every relation built
+on them stores it, so each later operation reads it from its input.
 
 Which factorization an operation takes depends on whether a rank can drop:
 

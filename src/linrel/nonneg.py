@@ -34,7 +34,7 @@ from .errors import (
     NotSymmetricError,
     OrderViolatedError,
 )
-from .kernel import DEFAULT_TOL, Tolerances
+from .kernel import Tolerances
 from .relation import LinearRelation
 from .subspace import Subspace
 
@@ -128,14 +128,15 @@ class NonnegSelfAdjointRelation:
         return self.op_ambient
 
 
-def validate(t: LinearRelation, tol: Tolerances = DEFAULT_TOL) -> NonnegSelfAdjointRelation:
+def validate(t: LinearRelation) -> NonnegSelfAdjointRelation:
     """Certify that a relation is nonnegative selfadjoint.
 
     Checks, in order: the relation is square; it equals its adjoint within
     the projector gap tolerance; the compressed operator part is Hermitian
-    with spectrum above ``-eq_abs``.  Returns the certified form, which
-    keeps ``t`` as its graph.
+    with spectrum above ``-eq_abs``, all under ``t.tol``.  Returns the
+    certified form, which keeps ``t`` as its graph and its tolerance.
     """
+    tol = t.tol
     if t.dim_in != t.dim_out:
         raise DimensionMismatchError(
             f"selfadjointness needs a square relation, got ({t.dim_in},{t.dim_out})"
@@ -143,7 +144,7 @@ def validate(t: LinearRelation, tol: Tolerances = DEFAULT_TOL) -> NonnegSelfAdjo
     gap = t.graph_gap(t.adjoint())
     if gap > tol.eq_abs:
         raise NotSelfAdjointError(f"adjoint gap {gap:.3e} exceeds eq_abs")
-    dec = t.operator_part(tol)
+    dec = t.operator_part()
     comp = dec.compressed()
     anti = comp - comp.conj().T
     # eq_abs is the least the bound can be, so a defect within it passes
@@ -174,17 +175,18 @@ def _root_gram(a: NonnegSelfAdjointRelation, basis: np.ndarray) -> np.ndarray:
     return kernel.hermitian_part(c.conj().T @ a.op_compressed @ c)
 
 
-def leq_report(a: NonnegSelfAdjointRelation, b: NonnegSelfAdjointRelation,
-               tol: Tolerances | None = None) -> tuple[bool, float]:
+def leq_report(a: NonnegSelfAdjointRelation,
+               b: NonnegSelfAdjointRelation) -> tuple[bool, float]:
     """Form order test A <= B with a defect size.
 
     Returns ``(holds, defect)``.  The defect is 0.0 when the order holds;
     otherwise it is the larger of the domain containment defect and the
-    normalized amount by which the Gram difference fails to be PSD.
+    normalized amount by which the Gram difference fails to be PSD.  The
+    test runs under ``a.tol``.
     """
     if a.dim != b.dim:
         raise DimensionMismatchError("relations live in different spaces")
-    tol = tol or a.tol
+    tol = a.tol
     dom_defect = a.dom.containment_defect(b.dom)
     if dom_defect > tol.eq_abs:
         return False, float(dom_defect)
@@ -201,20 +203,19 @@ def leq_report(a: NonnegSelfAdjointRelation, b: NonnegSelfAdjointRelation,
     return False, -wmin / (1.0 + kernel.opnorm(gb))
 
 
-def leq(a: NonnegSelfAdjointRelation, b: NonnegSelfAdjointRelation,
-        tol: Tolerances | None = None) -> bool:
+def leq(a: NonnegSelfAdjointRelation, b: NonnegSelfAdjointRelation) -> bool:
     """Form order A <= B.
 
     Requires dom(B root) inside dom(A root) and the Gram matrix of B's root
     to dominate that of A's root there.  The PSD test allows eigenvalues down
     to ``-eq_abs * (1 + ||G_B||)``.
     """
-    holds, _ = leq_report(a, b, tol)
+    holds, _ = leq_report(a, b)
     return holds
 
 
-def order_contraction(a: NonnegSelfAdjointRelation, b: NonnegSelfAdjointRelation,
-                      tol: Tolerances | None = None) -> np.ndarray:
+def order_contraction(a: NonnegSelfAdjointRelation,
+                      b: NonnegSelfAdjointRelation) -> np.ndarray:
     """The contraction W with W (B root) = (A root) on dom(B root).
 
     Returned as a full ambient matrix supported on dom(B), vanishing on the
@@ -222,53 +223,49 @@ def order_contraction(a: NonnegSelfAdjointRelation, b: NonnegSelfAdjointRelation
     clipped at 1: the exact interpolant is a contraction, so any excess is
     roundoff.  Raises :class:`OrderViolatedError` when not A <= B.
     """
-    tol = tol or a.tol
-    if not leq(a, b, tol):
+    if not leq(a, b):
         raise OrderViolatedError("order_contraction requires A <= B")
     mb = b.sqrt_ambient
     ma = a.sqrt_ambient
     target = ma @ b.dom.projector
-    w = target @ kernel.pseudo_inverse(mb, tol)
+    w = target @ kernel.pseudo_inverse(mb, a.tol)
     if w.size:
         u, s, vh = np.linalg.svd(w, full_matrices=False)
         w = u @ (np.minimum(s, 1.0)[:, None] * vh)
     return w
 
 
-def gram_with_diagnostics(t: LinearRelation, tol: Tolerances = DEFAULT_TOL):
+def gram_with_diagnostics(t: LinearRelation):
     """Compute T* T and the residuals of the identities it must satisfy.
 
     Returns ``(validated product, diagnostics dict)``.  The identities: the
     product is unchanged when T is replaced by its operator part on the
     right, or both factors by their operator parts; its kernel is ker(T); its
     multivalued part is mul(T*); and its operator part is the product of the
-    factors' operator parts.
+    factors' operator parts.  Everything runs under ``t.tol``.
     """
     adj = t.adjoint()
-    product = adj.compose(t, tol)
-    out = validate(product, tol)
+    product = adj.compose(t)
+    out = validate(product)
 
-    dec = t.operator_part(tol)
-    t0 = dec.as_relation(tol)
-    adj_dec = adj.operator_part(tol)
-    adj0 = adj_dec.as_relation(tol)
+    t0 = t.operator_part().as_relation()
+    adj0 = adj.operator_part().as_relation()
 
     diagnostics = {
-        "with_op_right": product.graph_gap(adj.compose(t0, tol)),
-        "op_with_op": product.graph_gap(t0.adjoint().compose(t0, tol)),
+        "with_op_right": product.graph_gap(adj.compose(t0)),
+        "op_with_op": product.graph_gap(t0.adjoint().compose(t0)),
         "kernel": out.rel.ker.gap(t.ker),
         "mul": out.rel.mul.gap(adj.mul),
-        "op_parts": product.operator_part(tol).as_relation(tol).graph_gap(
-            adj0.compose(t0, tol)),
+        "op_parts": product.operator_part().as_relation().graph_gap(adj0.compose(t0)),
     }
     return out, diagnostics
 
 
-def gram(t: LinearRelation, tol: Tolerances = DEFAULT_TOL) -> NonnegSelfAdjointRelation:
-    """T* T, validated; raises on any identity residual above tolerance."""
-    out, diagnostics = gram_with_diagnostics(t, tol)
+def gram(t: LinearRelation) -> NonnegSelfAdjointRelation:
+    """T* T, validated; raises on any identity residual above ``t.tol``."""
+    out, diagnostics = gram_with_diagnostics(t)
     worst = max(diagnostics.values())
-    if worst > tol.eq_abs:
+    if worst > t.tol.eq_abs:
         name = max(diagnostics, key=diagnostics.get)
         raise InternalInconsistencyError(
             f"gram identity '{name}' residual {diagnostics[name]:.3e} exceeds tolerance"
@@ -276,21 +273,23 @@ def gram(t: LinearRelation, tol: Tolerances = DEFAULT_TOL) -> NonnegSelfAdjointR
     return out
 
 
-def friedrichs(t: LinearRelation, tol: Tolerances = DEFAULT_TOL) -> NonnegSelfAdjointRelation:
+def friedrichs(t: LinearRelation) -> NonnegSelfAdjointRelation:
     """Friedrichs extension of a nonnegative symmetric relation.
 
     In finite dimension the extension has a closed form: project the operator
     part onto the domain and attach the full orthogonal complement of the
     domain as multivalued part.  The result is the unique selfadjoint
-    extension whose form domain is the original domain.
+    extension whose form domain is the original domain.  It carries
+    ``t.tol``, under which every check runs.
     """
+    tol = t.tol
     if t.dim_in != t.dim_out:
         raise DimensionMismatchError("symmetric relations must be square")
     adj = t.adjoint()
-    if not adj.includes(t, tol):
+    if not adj.includes(t):
         defect = adj.graph.containment_defect(t.graph)
         raise NotSymmetricError(f"relation exceeds its adjoint (defect {defect:.3e})")
-    dec = t.operator_part(tol)
+    dec = t.operator_part()
     form = kernel.hermitian_part(dec.compressed())
     if form.shape[0]:
         wmin = float(np.linalg.eigvalsh(form)[0])
@@ -299,6 +298,6 @@ def friedrichs(t: LinearRelation, tol: Tolerances = DEFAULT_TOL) -> NonnegSelfAd
                 f"form eigenvalue {wmin:.3e} below -eq_abs", witness=wmin
             )
     out = NonnegSelfAdjointRelation(dec.domain, form, tol)
-    if not out.rel.includes(t, tol):
+    if not out.rel.includes(t):
         raise InternalInconsistencyError("Friedrichs extension does not extend the input")
     return out

@@ -42,9 +42,10 @@ __all__ = [
 class LinearRelation:
     """A linear relation from C^dim_in to C^dim_out, stored as its graph.
 
-    The tolerance a relation is constructed under is kept on the instance so
-    the lazily derived subspaces (dom, ran, ker, mul) use the same rank
-    policy as the operation that produced the relation.
+    ``tol`` is given once, when a relation is built from raw data.  Every
+    rank decision on the relation (its lazily derived subspaces and every
+    operation it is the receiver of) reads it, and every relation an
+    operation returns carries it on.
     """
 
     def __init__(self, dim_in: int, dim_out: int, graph: Subspace,
@@ -56,7 +57,7 @@ class LinearRelation:
         self.dim_in = int(dim_in)
         self.dim_out = int(dim_out)
         self.graph = graph
-        self._tol = tol
+        self.tol = tol
 
     # -- constructors ------------------------------------------------------
 
@@ -141,7 +142,7 @@ class LinearRelation:
         :class:`InternalInconsistencyError` is raised.
         """
         dropped = cut @ null
-        if not kernel.opnorm_within(dropped, self._tol.eq_abs ** 0.5):
+        if not kernel.opnorm_within(dropped, self.tol.eq_abs ** 0.5):
             raise InternalInconsistencyError(
                 f"rank decisions disagree: squared norm {kernel.opnorm(dropped) ** 2:.3e} "
                 f"left over the numerical kernel of a graph block exceeds eq_abs"
@@ -159,7 +160,7 @@ class LinearRelation:
         single-valuedness check it stood for is that ``||X null||^2 <=
         eq_abs`` (see :meth:`_cut_graph_slice`).  ``X V S^-1 = U``.
         """
-        u, s, vh, null = kernel.rank_svd(self._gin, self._tol)
+        u, s, vh, null = kernel.rank_svd(self._gin, self.tol)
         mul = self._cut_graph_slice(self._gin, self._gout, null)
         return (Subspace(self.dim_in, np.ascontiguousarray(u)),
                 Subspace(self.dim_out, mul), vh.conj().T / s)
@@ -172,7 +173,7 @@ class LinearRelation:
     @cached_property
     def ran(self) -> Subspace:
         """Range: second components of the graph."""
-        return Subspace(self.dim_out, kernel.orthonormal_columns(self._gout, self._tol))
+        return Subspace(self.dim_out, kernel.orthonormal_columns(self._gout, self.tol))
 
     @cached_property
     def mul(self) -> Subspace:
@@ -186,7 +187,7 @@ class LinearRelation:
         ``X null(Y)`` is orthonormal as it stands; see
         :meth:`_cut_graph_slice` for the check that keeps it so.
         """
-        null = kernel.null_space(self._gout, self._tol)
+        null = kernel.null_space(self._gout, self.tol)
         return Subspace(self.dim_in,
                         self._cut_graph_slice(self._gout, self._gin, null))
 
@@ -213,9 +214,9 @@ class LinearRelation:
         flipped = np.vstack([comp[self.dim_in:], -comp[: self.dim_in]])
         return LinearRelation(self.dim_out, self.dim_in,
                               Subspace(self.dim_in + self.dim_out, flipped),
-                              tol=self._tol)
+                              tol=self.tol)
 
-    def add(self, other: "LinearRelation", tol: Tolerances = DEFAULT_TOL) -> "LinearRelation":
+    def add(self, other: "LinearRelation") -> "LinearRelation":
         """Relation sum: pairs (x, y + z) with (x, y) here and (x, z) there.
 
         The domain of the sum is the intersection of the domains.
@@ -224,20 +225,20 @@ class LinearRelation:
         gt, gs = self.graph.basis, other.graph.basis
         r = gt.shape[1]
         constraint = np.hstack([gt[: self.dim_in], -gs[: self.dim_in]])
-        coeff = kernel.null_space(constraint, tol)
+        coeff = kernel.null_space(constraint, self.tol)
         x = gt[: self.dim_in] @ coeff[:r]
         y = gt[self.dim_in:] @ coeff[:r] + gs[self.dim_in:] @ coeff[r:]
-        g = kernel.orthonormal_columns(np.vstack([x, y]), tol)
+        g = kernel.orthonormal_columns(np.vstack([x, y]), self.tol)
         return LinearRelation(self.dim_in, self.dim_out,
-                              Subspace(self.dim_in + self.dim_out, g), tol=tol)
+                              Subspace(self.dim_in + self.dim_out, g), tol=self.tol)
 
-    def cw_sum(self, other: "LinearRelation", tol: Tolerances = DEFAULT_TOL) -> "LinearRelation":
+    def cw_sum(self, other: "LinearRelation") -> "LinearRelation":
         """Componentwise sum: span of the two graphs inside the product space."""
         self._check_same_spaces(other)
-        g = self.graph.add(other.graph, tol)
-        return LinearRelation(self.dim_in, self.dim_out, g, tol=tol)
+        g = self.graph.add(other.graph, self.tol)
+        return LinearRelation(self.dim_in, self.dim_out, g, tol=self.tol)
 
-    def compose(self, inner: "LinearRelation", tol: Tolerances = DEFAULT_TOL) -> "LinearRelation":
+    def compose(self, inner: "LinearRelation") -> "LinearRelation":
         """Product self o inner: pairs (x, y) with (x, z) in inner, (z, y) in self."""
         if inner.dim_out != self.dim_in:
             raise DimensionMismatchError(
@@ -247,14 +248,14 @@ class LinearRelation:
         r = gi.shape[1]
         mid = inner.dim_out
         constraint = np.hstack([gi[inner.dim_in:], -go[:mid]])
-        coeff = kernel.null_space(constraint, tol)
+        coeff = kernel.null_space(constraint, self.tol)
         x = gi[: inner.dim_in] @ coeff[:r]
         y = go[mid:] @ coeff[r:]
-        g = kernel.orthonormal_columns(np.vstack([x, y]), tol)
+        g = kernel.orthonormal_columns(np.vstack([x, y]), self.tol)
         return LinearRelation(inner.dim_in, self.dim_out,
-                              Subspace(inner.dim_in + self.dim_out, g), tol=tol)
+                              Subspace(inner.dim_in + self.dim_out, g), tol=self.tol)
 
-    def map_output(self, m, tol: Tolerances = DEFAULT_TOL) -> "LinearRelation":
+    def map_output(self, m) -> "LinearRelation":
         """Product M o self with a matrix M: pairs (x, M y) for (x, y) here.
 
         Same relation as ``LinearRelation.from_matrix(m).compose(self)``,
@@ -265,11 +266,11 @@ class LinearRelation:
             raise DimensionMismatchError(
                 f"cannot compose: dim_out {self.dim_out} != matrix columns {m.shape[1]}"
             )
-        g = kernel.orthonormal_columns(np.vstack([self._gin, m @ self._gout]), tol)
+        g = kernel.orthonormal_columns(np.vstack([self._gin, m @ self._gout]), self.tol)
         return LinearRelation(self.dim_in, m.shape[0],
-                              Subspace(self.dim_in + m.shape[0], g), tol=tol)
+                              Subspace(self.dim_in + m.shape[0], g), tol=self.tol)
 
-    def pull_input(self, m, tol: Tolerances = DEFAULT_TOL) -> "LinearRelation":
+    def pull_input(self, m) -> "LinearRelation":
         """Product self o M with a matrix M: pairs (x, y) with (M x, y) here.
 
         Same relation as ``self.compose(LinearRelation.from_matrix(m))``: the
@@ -284,12 +285,12 @@ class LinearRelation:
                 f"cannot compose: matrix rows {m.shape[0]} != dim_in {self.dim_in}"
             )
         k = m.shape[1]
-        coeff = kernel.null_space(np.hstack([m, -self._gin]), tol)
+        coeff = kernel.null_space(np.hstack([m, -self._gin]), self.tol)
         y = self._gout @ coeff[k:]
         g = kernel.orthonormalize(np.vstack([coeff[:k], y]))
-        return LinearRelation(k, self.dim_out, Subspace(k + self.dim_out, g), tol=tol)
+        return LinearRelation(k, self.dim_out, Subspace(k + self.dim_out, g), tol=self.tol)
 
-    def restrict(self, s: Subspace, tol: Tolerances = DEFAULT_TOL) -> "LinearRelation":
+    def restrict(self, s: Subspace) -> "LinearRelation":
         """Pairs of the relation whose input lies in ``s``.
 
         The graph basis times an orthonormal kernel basis is orthonormal as
@@ -299,32 +300,32 @@ class LinearRelation:
             raise DimensionMismatchError("restriction subspace must live in the input space")
         g = self.graph.basis
         outside = (np.eye(self.dim_in, dtype=np.complex128) - s.projector) @ g[: self.dim_in]
-        basis = g @ kernel.null_space(outside, tol)
+        basis = g @ kernel.null_space(outside, self.tol)
         return LinearRelation(self.dim_in, self.dim_out,
-                              Subspace(self.dim_in + self.dim_out, basis), tol=tol)
+                              Subspace(self.dim_in + self.dim_out, basis), tol=self.tol)
 
-    def image(self, s: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
+    def image(self, s: Subspace) -> Subspace:
         """Values taken over inputs in ``s``.
 
         Since 0 always lies in ``s``, the image always contains the
         multivalued part.
         """
-        return self.restrict(s, tol).ran
+        return self.restrict(s).ran
 
     # -- comparisons ---------------------------------------------------------
 
-    def equals(self, other: "LinearRelation", tol: Tolerances = DEFAULT_TOL) -> bool:
+    def equals(self, other: "LinearRelation") -> bool:
         self._check_same_spaces(other)
-        return self.graph.equals(other.graph, tol)
+        return self.graph.equals(other.graph, self.tol)
 
     def graph_gap(self, other: "LinearRelation") -> float:
         self._check_same_spaces(other)
         return self.graph.gap(other.graph)
 
-    def includes(self, other: "LinearRelation", tol: Tolerances = DEFAULT_TOL) -> bool:
+    def includes(self, other: "LinearRelation") -> bool:
         """True when ``other`` is a subrelation (its graph is contained here)."""
         self._check_same_spaces(other)
-        return self.graph.contains(other.graph, tol)
+        return self.graph.contains(other.graph, self.tol)
 
     def _check_same_spaces(self, other: "LinearRelation"):
         if self.dim_in != other.dim_in or self.dim_out != other.dim_out:
@@ -335,37 +336,36 @@ class LinearRelation:
 
     # -- operator part -------------------------------------------------------
 
-    def operator_part(self, tol: Tolerances = DEFAULT_TOL) -> "OperatorPartDecomposition":
+    def operator_part(self) -> "OperatorPartDecomposition":
         """Split a closed relation into a single-valued operator plus its mul.
 
         The operator part is ``(1 - P_mul) Y X^+`` on the graph's input and
         output blocks X and Y: of the values Y c + mul at x = X c, the one
         orthogonal to mul.  The returned matrix holds the ambient images of
-        the domain basis vectors.  Rank decisions use the relation's own
-        tolerance; ``tol`` bounds the solve residual.
+        the domain basis vectors.  The relation's ``tol`` governs the rank
+        decisions and bounds the solve residual; the decomposition keeps it.
 
         The operator part is single-valued when the graph's inputs over the
         kernel of X, the ones mul is read from, are numerically zero:
-        ``||X null||^2 <= eq_abs`` under the relation's tolerance, checked
-        where mul is built, which raises :class:`InternalInconsistencyError`
-        otherwise.  The operator-part graph then has dimension graph.dim -
-        mul.dim by construction.
+        ``||X null||^2 <= eq_abs``, checked where mul is built, which raises
+        :class:`InternalInconsistencyError` otherwise.  The operator-part
+        graph then has dimension graph.dim - mul.dim by construction.
         """
         domain, m, coeff = self._input_split
         resid = self._gin @ coeff - domain.basis
-        if not kernel.opnorm_within(resid, tol.eq_abs):
+        if not kernel.opnorm_within(resid, self.tol.eq_abs):
             raise InternalInconsistencyError(
                 f"operator part solve residual {kernel.opnorm(resid):.3e} exceeds tolerance"
             )
         images = self._gout @ coeff
         images = images - m.basis @ (m.basis.conj().T @ images)
         return OperatorPartDecomposition(domain=domain, images=images, mul=m,
-                                         dim_in=self.dim_in, dim_out=self.dim_out)
+                                         dim_in=self.dim_in, dim_out=self.dim_out,
+                                         tol=self.tol)
 
     # -- viewing a relation inside component subspaces -----------------------
 
-    def compress_to(self, u: Subspace, v: Subspace,
-                    tol: Tolerances = DEFAULT_TOL) -> "LinearRelation":
+    def compress_to(self, u: Subspace, v: Subspace) -> "LinearRelation":
         """Coordinates of a relation whose graph lives inside ``u x v``.
 
         Rewrites the graph in the orthonormal bases of ``u`` and ``v``; the
@@ -379,14 +379,14 @@ class LinearRelation:
             raise DimensionMismatchError("component subspaces live in the wrong spaces")
         gin, gout = self._gin, self._gout
         outside = (gin - u.projector @ gin, gout - v.projector @ gout)
-        if not all(kernel.opnorm_within(part, tol.eq_abs) for part in outside):
+        if not all(kernel.opnorm_within(part, self.tol.eq_abs) for part in outside):
             defect = max(kernel.opnorm(part) for part in outside)
             raise ComponentMismatchError(
                 f"graph leaves the component product (defect {defect:.3e})"
             )
         basis = np.vstack([u.basis.conj().T @ gin, v.basis.conj().T @ gout])
         basis = kernel.orthonormalize(basis)
-        return LinearRelation(u.dim, v.dim, Subspace(u.dim + v.dim, basis), tol=tol)
+        return LinearRelation(u.dim, v.dim, Subspace(u.dim + v.dim, basis), tol=self.tol)
 
     def embed_from(self, u: Subspace, v: Subspace) -> "LinearRelation":
         """Inverse of :meth:`compress_to`: map coordinates back into ambient."""
@@ -395,10 +395,9 @@ class LinearRelation:
         basis = np.vstack([u.basis @ self._gin, v.basis @ self._gout])
         n = u.ambient_dim + v.ambient_dim
         return LinearRelation(u.ambient_dim, v.ambient_dim, Subspace(n, basis),
-                              tol=self._tol)
+                              tol=self.tol)
 
-    def adjoint_between(self, u: Subspace, v: Subspace,
-                        tol: Tolerances = DEFAULT_TOL) -> "LinearRelation":
+    def adjoint_between(self, u: Subspace, v: Subspace) -> "LinearRelation":
         """Adjoint of the relation viewed as acting from ``u`` to ``v``.
 
         The ambient adjoint of a relation squeezed into ``u x v`` picks up a
@@ -406,7 +405,7 @@ class LinearRelation:
         adjoint in coordinates and embedding back gives the adjoint relative
         to the component spaces instead.
         """
-        compressed = self.compress_to(u, v, tol)
+        compressed = self.compress_to(u, v)
         return compressed.adjoint().embed_from(v, u)
 
 
@@ -417,7 +416,8 @@ class OperatorPartDecomposition:
     ``images`` holds ambient vectors, one column per domain basis vector, all
     orthogonal to ``mul``.  ``as_relation`` rebuilds the single-valued graph;
     componentwise-summing it with ``{0} x mul`` recovers the original
-    relation.
+    relation.  Both carry ``tol``, the tolerance of the relation the
+    decomposition came from.
     """
 
     domain: Subspace
@@ -425,14 +425,16 @@ class OperatorPartDecomposition:
     mul: Subspace
     dim_in: int
     dim_out: int
+    tol: Tolerances
 
-    def as_relation(self, tol: Tolerances = DEFAULT_TOL) -> LinearRelation:
+    def as_relation(self) -> LinearRelation:
         return LinearRelation.from_images_and_mul(
-            self.domain, self.images, Subspace.zero(self.dim_out), tol=tol
+            self.domain, self.images, Subspace.zero(self.dim_out), tol=self.tol
         )
 
-    def reassemble(self, tol: Tolerances = DEFAULT_TOL) -> LinearRelation:
-        return LinearRelation.from_images_and_mul(self.domain, self.images, self.mul, tol=tol)
+    def reassemble(self) -> LinearRelation:
+        return LinearRelation.from_images_and_mul(self.domain, self.images, self.mul,
+                                                  tol=self.tol)
 
     def compressed(self) -> np.ndarray:
         """Matrix of the operator part in the domain basis coordinates.

@@ -87,30 +87,30 @@ class SchurResult:
         """How far P_L of the root's image over dom(A) sticks out of dom(root)."""
         a_rel, tol = self.rep.relation, self.rep.tol
         sqrt_rel = a_rel.sqrt().rel
-        image = sqrt_rel.image(a_rel.dom, tol)
+        image = sqrt_rel.image(a_rel.dom)
         projected = Subspace(a_rel.dim, kernel.orthonormal_columns(
             self.l_space.projector @ image.basis, tol))
         return float(sqrt_rel.dom.containment_defect(projected))
 
 
-def schur_analysis(a_rel: NonnegSelfAdjointRelation, s: Subspace,
-                   tol: Tolerances | None = None) -> SchurResult:
+def schur_analysis(a_rel: NonnegSelfAdjointRelation, s: Subspace) -> SchurResult:
     """Build complement and compression of ``a_rel`` by the subspace ``s``.
 
     Requires dom(A) invariant under the projection onto S (checked by the
     block analysis).  Raises :class:`InternalInconsistencyError` when any
-    identity that is automatic in finite dimension fails numerically.
+    identity that is automatic in finite dimension fails numerically.  Every
+    rank decision runs under ``a_rel.tol``, and both results carry it.
     """
-    tol = tol or a_rel.tol
-    rep = analyze(a_rel, s, tol)
+    tol = a_rel.tol
+    rep = analyze(a_rel, s)
     sp = rep.s_perp
     diag: dict = {}
 
     # far block: T = Dg d^{1/2}, then T* T computed in S-perp coordinates
-    t_rel = rep.d_sqrt.map_output(rep.dg, tol)
+    t_rel = rep.d_sqrt.map_output(rep.dg)
     t_op = rep.dg @ rep.d0_sqrt
-    t_c = t_rel.compress_to(sp, sp, tol)
-    tt_c, tt_diag = gram_with_diagnostics(t_c, tol)
+    t_c = t_rel.compress_to(sp, sp)
+    tt_c, tt_diag = gram_with_diagnostics(t_c)
     worst_tt = max(tt_diag.values()) if tt_diag else 0.0
     diag["far_gram_identities"] = float(worst_tt)
     if worst_tt > tol.eq_abs:
@@ -123,8 +123,8 @@ def schur_analysis(a_rel: NonnegSelfAdjointRelation, s: Subspace,
     # componentwise-summed with the pure multivalued part over M2
     alt_inner = LinearRelation.from_images_and_mul(
         rep.d2, t_op @ rep.d2.basis, Subspace.zero(a_rel.dim), tol=tol)
-    alt = (alt_inner.map_output(rep.d0_sqrt @ rep.dg, tol)
-           .cw_sum(mul_only(rep.m2, tol=tol), tol))
+    alt = (alt_inner.map_output(rep.d0_sqrt @ rep.dg)
+           .cw_sum(mul_only(rep.m2, tol=tol)))
     diag["far_gram_alt_gap"] = float(tt.graph_gap(alt))
 
     # complement: the orthogonal sum of zero on S and T* T on the far block
@@ -132,7 +132,7 @@ def schur_analysis(a_rel: NonnegSelfAdjointRelation, s: Subspace,
         Subspace(a_rel.dim, np.hstack([rep.s.basis, sp.basis @ tt_c.dom.basis])),
         np.pad(tt_c.op_compressed, (rep.s.dim, 0)), tol)
     diag["schur_ran_outside_far"] = float(sp.containment_defect(schur.rel.ran))
-    ok, below = leq_report(schur, a_rel, tol)
+    ok, below = leq_report(schur, a_rel)
     diag["schur_below_defect"] = float(below)
     if not ok:
         raise InternalInconsistencyError(
@@ -140,13 +140,11 @@ def schur_analysis(a_rel: NonnegSelfAdjointRelation, s: Subspace,
         )
 
     # compression: Gram product of the row a^{1/2} P_S + g d^{1/2} P_{S-perp}
-    r1 = rep.a_sqrt.pull_input(rep.s.projector, tol).restrict(a_rel.dom, tol)
-    r2 = (rep.d_sqrt.pull_input(sp.projector, tol)
-          .map_output(rep.g, tol)
-          .restrict(a_rel.dom, tol))
-    row = r1.add(r2, tol)
+    r1 = rep.a_sqrt.pull_input(rep.s.projector).restrict(a_rel.dom)
+    r2 = rep.d_sqrt.pull_input(sp.projector).map_output(rep.g).restrict(a_rel.dom)
+    row = r1.add(r2)
     diag["row_mul_gap"] = float(row.mul.gap(rep.m1))
-    comp_c, comp_diag = gram_with_diagnostics(row, tol)
+    comp_c, comp_diag = gram_with_diagnostics(row)
     worst_row = max(comp_diag.values()) if comp_diag else 0.0
     diag["compression_gram_identities"] = float(worst_row)
     if worst_row > tol.eq_abs:
@@ -164,7 +162,7 @@ def schur_analysis(a_rel: NonnegSelfAdjointRelation, s: Subspace,
     diag["compression_mul_gap"] = float(compression.mul.gap(a_rel.mul))
     diag["compression_dom_defect"] = float(
         compression.dom.containment_defect(a_rel.dom))
-    ok, below = leq_report(compression, a_rel, tol)
+    ok, below = leq_report(compression, a_rel)
     diag["compression_below_defect"] = float(below)
     if not ok:
         raise InternalInconsistencyError(
@@ -172,7 +170,7 @@ def schur_analysis(a_rel: NonnegSelfAdjointRelation, s: Subspace,
         )
 
     # pivot space of the projection formula, with its projector identity
-    l_space = a_rel.sqrt().rel.image(rep.d1, tol).intersect(a_rel.dom, tol)
+    l_space = a_rel.sqrt().rel.image(rep.d1).intersect(a_rel.dom, tol)
     diag["l_projector_gap"] = float(
         kernel.opnorm(l_space.projector - rep.v1 @ rep.v1.conj().T))
 
@@ -180,33 +178,31 @@ def schur_analysis(a_rel: NonnegSelfAdjointRelation, s: Subspace,
                        l_space=l_space, diagnostics=diag)
 
 
-def schur_complement(a_rel: NonnegSelfAdjointRelation, s: Subspace,
-                     tol: Tolerances | None = None) -> NonnegSelfAdjointRelation:
+def schur_complement(a_rel: NonnegSelfAdjointRelation,
+                     s: Subspace) -> NonnegSelfAdjointRelation:
     """The complement of ``a_rel`` by ``s``; see :func:`schur_analysis`."""
-    return schur_analysis(a_rel, s, tol).schur
+    return schur_analysis(a_rel, s).schur
 
 
-def compress(a_rel: NonnegSelfAdjointRelation, s: Subspace,
-             tol: Tolerances | None = None) -> NonnegSelfAdjointRelation:
+def compress(a_rel: NonnegSelfAdjointRelation, s: Subspace) -> NonnegSelfAdjointRelation:
     """The compression of ``a_rel`` to ``s``; see :func:`schur_analysis`."""
-    return schur_analysis(a_rel, s, tol).compression
+    return schur_analysis(a_rel, s).compression
 
 
 def is_member(a_rel: NonnegSelfAdjointRelation, s: Subspace,
-              x: NonnegSelfAdjointRelation,
-              tol: Tolerances | None = None) -> bool:
+              x: NonnegSelfAdjointRelation) -> bool:
     """Whether ``x`` competes with the complement of ``a_rel`` by ``s``.
 
     Membership means: nonnegative selfadjoint (already certified by the
     type), range inside the complement of ``s``, and below ``a_rel`` in the
-    form order.  The complement of A by S is the maximum of this set.
+    form order.  The complement of A by S is the maximum of this set.  The
+    range test runs under ``a_rel.tol``, the order test under ``x.tol``.
     """
-    tol = tol or a_rel.tol
     if x.dim != a_rel.dim or s.ambient_dim != a_rel.dim:
         raise DimensionMismatchError("member candidate lives in a different space")
-    if s.complement().containment_defect(x.rel.ran) > tol.eq_abs:
+    if s.complement().containment_defect(x.rel.ran) > a_rel.tol.eq_abs:
         return False
-    return leq(x, a_rel, tol)
+    return leq(x, a_rel)
 
 
 @dataclass(frozen=True)
@@ -252,11 +248,11 @@ def maximality_probe(res: SchurResult, *, seed: int = 0,
             lam = float(rng.uniform(0.0, scale_cap))
             m = random_psd(rng, sp.dim, scale=lam)
             x = NonnegSelfAdjointRelation(full, sp.basis @ m @ sp.basis.conj().T, tol)
-        if not is_member(a_rel, s, x, tol):
+        if not is_member(a_rel, s, x):
             rejected += 1
             continue
         members += 1
-        holds, defect = leq_report(x, schur, tol)
+        holds, defect = leq_report(x, schur)
         if not holds:
             violations.append(i)
             worst = max(worst, float(defect))
@@ -304,10 +300,10 @@ def pekarev(res: SchurResult) -> PekarevResult:
     c1 = res.projected_root_image_defect
     # d^{1/2} g* g d^{1/2} and d^{1/2} Dg^2 d^{1/2} must keep the full far slice
     ghg = rep.g.conj().T @ rep.g
-    chain2 = rep.d_sqrt.compose(rep.d_sqrt.map_output(ghg, tol), tol)
+    chain2 = rep.d_sqrt.compose(rep.d_sqrt.map_output(ghg))
     c2 = float(chain2.dom.gap(rep.d2))
     dg2 = rep.dg @ rep.dg
-    chain3 = rep.d_sqrt.compose(rep.d_sqrt.map_output(dg2, tol), tol)
+    chain3 = rep.d_sqrt.compose(rep.d_sqrt.map_output(dg2))
     c3 = float(chain3.dom.gap(rep.d2))
     worst = max(c1, c2, c3)
     if worst > tol.eq_abs:
@@ -316,14 +312,14 @@ def pekarev(res: SchurResult) -> PekarevResult:
         )
 
     n = a_rel.dim
-    root_on_dom = sqrt_rel.restrict(a_rel.dom, tol)
+    root_on_dom = sqrt_rel.restrict(a_rel.dom)
     pl = res.l_space.projector
 
-    w = (root_on_dom.map_output(np.eye(n, dtype=np.complex128) - pl, tol)
-         .cw_sum(zero_operator_on(rep.m1, tol=tol), tol))
-    schur_p, w_diag = gram_with_diagnostics(w, tol)
-    v = root_on_dom.map_output(pl, tol)
-    comp_p, v_diag = gram_with_diagnostics(v, tol)
+    w = (root_on_dom.map_output(np.eye(n, dtype=np.complex128) - pl)
+         .cw_sum(zero_operator_on(rep.m1, tol=tol)))
+    schur_p, w_diag = gram_with_diagnostics(w)
+    v = root_on_dom.map_output(pl)
+    comp_p, v_diag = gram_with_diagnostics(v)
     worst_gram = max(list(w_diag.values()) + list(v_diag.values()), default=0.0)
     if worst_gram > tol.eq_abs:
         raise InternalInconsistencyError(
@@ -367,7 +363,7 @@ def additive_decomposition(res: SchurResult) -> AdditiveDecomposition:
     a_rel, tol = res.rep.relation, res.rep.tol
     c_dom = float(res.compression.dom.containment_defect(a_rel.dom))
     c_image = res.projected_root_image_defect
-    total = res.compression.rel.add(res.schur.rel, tol)
+    total = res.compression.rel.add(res.schur.rel)
     sum_gap = float(total.graph_gap(a_rel.rel))
     conditions = {
         "dom_in_compression_dom": c_dom,

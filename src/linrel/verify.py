@@ -135,11 +135,11 @@ def _general_relation_checks(t, tol: Tolerances) -> list:
             adj.adjoint().graph_gap(t),
             adj.mul.gap(t.dom.complement()),
             adj.ker.gap(t.ran.complement()),
-            t.operator_part(tol).reassemble(tol).graph_gap(t),
+            t.operator_part().reassemble().graph_gap(t),
         )
 
     def vonneumann():
-        _, diag = gram_with_diagnostics(t, tol)
+        _, diag = gram_with_diagnostics(t)
         return max(diag.values(), default=0.0)
 
     return [
@@ -150,7 +150,7 @@ def _general_relation_checks(t, tol: Tolerances) -> list:
 
 def _instance_checks(a, s, probe_seed: int, samples: int,
                      tol: Tolerances) -> list:
-    res = schur_analysis(a, s, tol)
+    res = schur_analysis(a, s)
     rep = res.rep
 
     def roundtrip():
@@ -168,7 +168,7 @@ def _instance_checks(a, s, probe_seed: int, samples: int,
         return rep.diagnostics["factorize_gap"]
 
     def membership():
-        member = is_member(a, s, res.schur, tol)
+        member = is_member(a, s, res.schur)
         residual = max(res.diagnostics["schur_ran_outside_far"],
                        res.diagnostics["schur_below_defect"])
         # a residual under tolerance must agree with the membership verdict

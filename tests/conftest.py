@@ -46,7 +46,7 @@ def battery_analyses(battery):
     """The battery with Schur analyses and the block analyses they used."""
     analyses = []
     for spec, a, s in battery:
-        res = schur_analysis(a, s, DEFAULT_TOL)
+        res = schur_analysis(a, s)
         analyses.append((spec, a, s, res.rep, res))
     return analyses
 

@@ -1,0 +1,100 @@
+"""Scale equivariance and unitary covariance of the complement and compression.
+
+Both properties hold exactly in the paper: schur(cA, S) = c schur(A, S),
+schur(Q A Q*, Q S) = Q schur(A, S) Q*, and likewise for the compression.
+Spectrum scale and c are drawn in [1e-3, 1e3], so every input lies inside
+the supported range 1e-6 to 1e6 stated in the README.  Operator parts are
+compared in operator norm relative to the input's norm (a complement may
+vanish), multivalued parts by projector gap.  The examples are
+derandomized, so every run checks the same draws.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from linrel.errors import InternalInconsistencyError
+from linrel.generator import InstanceSpec, generate, rng_for
+from linrel.kernel import opnorm
+from linrel.nonneg import NonnegSelfAdjointRelation
+from linrel.schur import schur_analysis
+from linrel.subspace import Subspace
+
+REL_TOL = 1e-8
+GAP_TOL = 1e-8
+
+decades = st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def instances(draw):
+    n = draw(st.integers(1, 6))
+    s_dim = draw(st.integers(0, n))
+    spec = InstanceSpec(
+        ambient_dim=n,
+        s_dim=s_dim,
+        d1_dim=draw(st.integers(0, s_dim)),
+        d2_dim=draw(st.integers(0, n - s_dim)),
+        seed=draw(st.integers(0, 2**32)),
+        spectrum_scale=draw(decades),
+    )
+    return generate(spec)
+
+
+def _unitary(seed, n):
+    rng = rng_for(seed)
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    return q * np.exp(-1j * np.angle(np.diagonal(r)))
+
+
+def _assert_close(got, want_op, want_mul, scale):
+    assert opnorm(got.op_ambient - want_op) <= REL_TOL * scale
+    assert got.mul.gap(want_mul) <= GAP_TOL
+
+
+def _check_scale_equivariance(a, s, c):
+    base = schur_analysis(a, s)
+    scaled = schur_analysis(a.scale(c), s)
+    scale = c * opnorm(a.op_ambient)
+    for name in ("schur", "compression"):
+        want = getattr(base, name)
+        _assert_close(getattr(scaled, name), c * want.op_ambient, want.mul, scale)
+
+
+def _check_unitary_covariance(a, s, q):
+    n = a.dim
+    # Q A Q* has domain Q dom(A) and, in the rotated basis, the same A0
+    rotated = NonnegSelfAdjointRelation(Subspace(n, q @ a.dom.basis), a.op_compressed, a.tol)
+    base = schur_analysis(a, s)
+    moved = schur_analysis(rotated, Subspace(n, q @ s.basis))
+    scale = opnorm(a.op_ambient)
+    for name in ("schur", "compression"):
+        want = getattr(base, name)
+        _assert_close(getattr(moved, name), q @ want.op_ambient @ q.conj().T,
+                      Subspace(n, q @ want.mul.basis), scale)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(instances(), decades)
+def test_scale_equivariance(instance, c):
+    _check_scale_equivariance(*instance, c)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(instances(), st.integers(0, 2**32))
+def test_unitary_covariance(instance, q_seed):
+    a, s = instance
+    _check_unitary_covariance(a, s, _unitary(q_seed, a.dim))
+
+
+@pytest.mark.xfail(raises=InternalInconsistencyError, strict=True, reason=(
+    "defect: at |cA| ~ 1.7e5 the domain of corner d, recovered from its graph, "
+    "is 5e-10 off D2, above the rank cutoff of restrict(dom A), so the "
+    "compression loses a domain direction"))
+def test_scale_equivariance_on_a_proper_domain_at_large_norm():
+    # found by an undirected search of the same space: 2 of 3000 draws fail
+    spec = InstanceSpec(ambient_dim=6, s_dim=1, d1_dim=0, d2_dim=2,
+                        seed=1234411796, spectrum_scale=231.55830415456197)
+    _check_scale_equivariance(*generate(spec), 748.8817767570902)

@@ -116,7 +116,7 @@ def test_analyze_reuses_the_invariance_slices(monkeypatch):
     calls = []
     monkeypatch.setattr(Subspace, "intersect", _counting(Subspace.intersect, calls))
 
-    rep = block.analyze(a, s, a.tol)
+    rep = block.analyze(a, s)
     # S and S-perp against dom(A) inside the invariance check, then mul(A)
     assert len(calls) == 4
     assert (rep.d1.dim, rep.d2.dim) == (2, 2)
@@ -148,7 +148,7 @@ def test_custom_tolerances_reach_every_rank_decision(monkeypatch):
     assert _patch_bindings(monkeypatch, kernel.rank_cutoff, "rank_cutoff", counting)
 
     for a, s in instances:
-        res = schur.schur_analysis(a, s, tol)
+        res = schur.schur_analysis(a, s)
         schur.pekarev(res)
         schur.additive_decomposition(res)
     assert calls
@@ -216,4 +216,4 @@ def test_operator_part_raises_when_the_rank_rule_cuts_real_input():
     pairs = np.array([[1.0, 0.0], [0.0, 0.5], [0.0, 0.0], [0.0, 0.75 ** 0.5]], dtype=complex)
     rel = LinearRelation(2, 2, Subspace(4, pairs), tol=tol)
     with pytest.raises(InternalInconsistencyError):
-        rel.operator_part(tol)
+        rel.operator_part()
