@@ -16,9 +16,13 @@ on M2, and
 
     b = a^(1/2) g d^(1/2)|_D2,   c = d^(1/2) g* a^(1/2)|_D1.
 
-Its defect root Dg = (1 - g* g)^(1/2) on S-perp is the identity on M2.  This
-module computes all of those objects numerically and records the residuals
-of every identity it relies on.
+Its defect root Dg = (1 - g* g)^(1/2) on S-perp is the identity on M2.
+
+A is stored as its form (dom, A0), so the corners are read off it: each is
+its coordinate block of A0 over D1, D2 plus the mul slice on its output
+side, and the roots of a and d are those of their blocks.  The relation
+calculus only certifies them (:func:`assemble`, :func:`operator_block`).
+This module records the residuals of every identity it relies on.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ import numpy as np
 from . import kernel
 from .errors import ComponentMismatchError, InternalInconsistencyError
 from .kernel import Tolerances
-from .nonneg import NonnegSelfAdjointRelation, validate
-from .relation import LinearRelation, mul_only
+from .nonneg import NonnegSelfAdjointRelation
+from .relation import LinearRelation
 from .subspace import Subspace, require_invariant
 
 __all__ = ["BlockRepresentation", "assemble", "analyze", "operator_block", "factorize"]
@@ -42,11 +46,12 @@ class BlockRepresentation:
     """All structure extracted from one (relation, subspace) pair.
 
     Subspaces: ``s`` and its complement split the domain into ``d1, d2``, the
-    multivalued part into ``m1, m2``.  Corner relations ``a, b, c, d`` live
-    in the ambient space with graphs inside the component products.
-    Coordinate blocks ``a0, b0, c0, d0`` express A's operator part in the
-    bases of ``d1`` and ``d2``.  The matrices ``v1, v2, g, dg`` are
-    ambient-sized, supported on the component subspaces.  ``tol`` is the
+    multivalued part into ``m1, m2``.  Coordinate blocks ``a0, b0, c0, d0``
+    express A's operator part in the bases of ``d1`` and ``d2``; the corner
+    relations ``a, b, c, d`` are these blocks in the ambient space plus the
+    mul slice on their output side, and ``a_sqrt, d_sqrt, a0_sqrt, d0_sqrt``
+    come from the roots of ``a0`` and ``d0``.  The matrices ``v1, v2, g, dg``
+    are ambient-sized, supported on the component subspaces.  ``tol`` is the
     relation's.
     """
 
@@ -159,13 +164,12 @@ def analyze(a_rel: NonnegSelfAdjointRelation, s: Subspace) -> BlockRepresentatio
     Requires the orthogonal projection onto ``s`` to leave dom(A) invariant;
     raises :class:`InvarianceViolatedError` with a witness vector otherwise.
     The returned representation carries every derived object plus a
-    diagnostics dict of identity residuals; the assembled corners are checked
-    against A before returning.  Every rank decision runs under
-    ``a_rel.tol``.
+    diagnostics dict of identity residuals; the corners, read off A's form,
+    are assembled and checked against A before returning.  Every rank
+    decision runs under ``a_rel.tol``.
     """
     big, tol = a_rel, a_rel.tol
-    n = big.dim
-    if s.ambient_dim != n:
+    if s.ambient_dim != big.dim:
         raise ComponentMismatchError("subspace must live in the relation's space")
     invariance = require_invariant(big.dom, s, tol)
     sp = s.complement()
@@ -181,17 +185,6 @@ def analyze(a_rel: NonnegSelfAdjointRelation, s: Subspace) -> BlockRepresentatio
         "s_perp_split": d2.add(m2, tol).gap(sp),
     }
 
-    restricted_s = big.rel.restrict(s)
-    restricted_sp = big.rel.restrict(sp)
-    a = restricted_s.map_output(s.projector)
-    b = restricted_sp.map_output(s.projector)
-    c = restricted_s.map_output(sp.projector)
-    d = restricted_sp.map_output(sp.projector)
-
-    # diagonal corners are nonnegative selfadjoint within their components
-    a_diag = validate(a.compress_to(s, s))
-    d_diag = validate(d.compress_to(sp, sp))
-
     op_amb = big.op_ambient
     b1, b2 = d1.basis, d2.basis
     a0 = b1.conj().T @ op_amb @ b1
@@ -199,10 +192,16 @@ def analyze(a_rel: NonnegSelfAdjointRelation, s: Subspace) -> BlockRepresentatio
     c0 = b2.conj().T @ op_amb @ b1
     d0 = b2.conj().T @ op_amb @ b2
 
-    a_sqrt = a_diag.sqrt().rel.embed_from(s, s)
-    d_sqrt = d_diag.sqrt().rel.embed_from(sp, sp)
-    a0_sqrt = s.basis @ a_diag.sqrt_ambient @ s.basis.conj().T
-    d0_sqrt = sp.basis @ d_diag.sqrt_ambient @ sp.basis.conj().T
+    # a and d are principal compressions of a PSD form, so they and their
+    # roots are nonnegative selfadjoint by construction
+    def corner(dom, images, mul):
+        return LinearRelation.from_images_and_mul(dom, images, mul, tol=tol)
+
+    a0_root, d0_root = kernel.psd_sqrt(a0, tol), kernel.psd_sqrt(d0, tol)
+    a_sqrt = corner(d1, b1 @ a0_root, m1)
+    d_sqrt = corner(d2, b2 @ d0_root, m2)
+    a0_sqrt = b1 @ a0_root @ b1.conj().T
+    d0_sqrt = b2 @ d0_root @ b2.conj().T
 
     root_amb = big.sqrt_ambient
     v1 = _partial_isometry(a0, b1, root_amb, tol)
@@ -218,7 +217,8 @@ def analyze(a_rel: NonnegSelfAdjointRelation, s: Subspace) -> BlockRepresentatio
 
     rep = BlockRepresentation(
         relation=big, s=s, s_perp=sp, d1=d1, d2=d2, m1=m1, m2=m2,
-        a=a_diag.rel.embed_from(s, s), b=b, c=c, d=d_diag.rel.embed_from(sp, sp),
+        a=corner(d1, b1 @ a0, m1), b=corner(d2, b1 @ b0, m1),
+        c=corner(d1, b2 @ c0, m2), d=corner(d2, b2 @ d0, m2),
         a0=a0, b0=b0, c0=c0, d0=d0, v1=v1, v2=v2, g=g, dg=dg,
         a_sqrt=a_sqrt, d_sqrt=d_sqrt, a0_sqrt=a0_sqrt, d0_sqrt=d0_sqrt,
         diagnostics=diagnostics,
@@ -247,34 +247,26 @@ def reconstruct_c(rep: BlockRepresentation) -> LinearRelation:
 
 
 def operator_block(rep: BlockRepresentation) -> tuple[np.ndarray, ...]:
-    """Coordinate blocks of A's operator part, with decomposition checks.
+    """Coordinate blocks of A's operator part, with the corners certified.
 
-    Verifies that each corner splits into its single-valued part plus the
-    matching multivalued slice: a and b carry {0} x M1, c and d carry
-    {0} x M2.  Returns (a0, b0, c0, d0); residuals are stored in the
-    representation's diagnostics.
+    :func:`analyze` reads the corners off the form.  Here each is rebuilt by
+    its definition in the relation calculus, P_S A|_S, P_S A|_Sp, P_Sp A|_S
+    and P_Sp A|_Sp, and compared with the corner read off the form.  The
+    graph gaps are stored in the representation's diagnostics as
+    ``a_decomposed`` .. ``d_decomposed``; one above ``eq_abs`` raises
+    :class:`InternalInconsistencyError`.  Returns (a0, b0, c0, d0).
     """
-    tol = rep.tol
-    b1, b2 = rep.d1.basis, rep.d2.basis
-
-    def split_gap(corner, block, dom, out_frame, in_frame, mul_slice):
-        images = out_frame @ block @ in_frame.conj().T @ dom.basis
-        single = LinearRelation.from_images_and_mul(
-            dom, images, Subspace.zero(dom.ambient_dim), tol=tol
-        )
-        rebuilt = single.cw_sum(mul_only(mul_slice, tol=tol))
-        return corner.graph_gap(rebuilt)
-
+    s, sp = rep.s, rep.s_perp
+    on_s, on_sp = rep.relation.rel.restrict(s), rep.relation.rel.restrict(sp)
     gaps = {
-        "a_decomposed": split_gap(rep.a, rep.a0, rep.d1, b1, b1, rep.m1),
-        "b_decomposed": split_gap(rep.b, rep.b0, rep.d2, b1, b2, rep.m1),
-        "c_decomposed": split_gap(rep.c, rep.c0, rep.d1, b2, b1, rep.m2),
-        "d_decomposed": split_gap(rep.d, rep.d0, rep.d2, b2, b2, rep.m2),
+        "a_decomposed": on_s.map_output(s.projector).graph_gap(rep.a),
+        "b_decomposed": on_sp.map_output(s.projector).graph_gap(rep.b),
+        "c_decomposed": on_s.map_output(sp.projector).graph_gap(rep.c),
+        "d_decomposed": on_sp.map_output(sp.projector).graph_gap(rep.d),
     }
     rep.diagnostics.update(gaps)
-    worst = max(gaps.values())
-    if worst > tol.eq_abs:
-        name = max(gaps, key=gaps.get)
+    name = max(gaps, key=gaps.get)
+    if gaps[name] > rep.tol.eq_abs:
         raise InternalInconsistencyError(
             f"corner decomposition '{name}' gap {gaps[name]:.3e} exceeds tolerance"
         )

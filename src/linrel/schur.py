@@ -45,7 +45,7 @@ from .nonneg import (
     leq,
     leq_report,
 )
-from .relation import LinearRelation, mul_only, zero_operator_on
+from .relation import LinearRelation, zero_operator_on
 from .subspace import Subspace
 
 __all__ = [
@@ -108,7 +108,6 @@ def schur_analysis(a_rel: NonnegSelfAdjointRelation, s: Subspace) -> SchurResult
 
     # far block: T = Dg d^{1/2}, then T* T computed in S-perp coordinates
     t_rel = rep.d_sqrt.map_output(rep.dg)
-    t_op = rep.dg @ rep.d0_sqrt
     t_c = t_rel.compress_to(sp, sp)
     tt_c, tt_diag = gram_with_diagnostics(t_c)
     worst_tt = max(tt_diag.values()) if tt_diag else 0.0
@@ -119,12 +118,11 @@ def schur_analysis(a_rel: NonnegSelfAdjointRelation, s: Subspace) -> SchurResult
         )
     tt = tt_c.rel.embed_from(sp, sp)
 
-    # alternative expression: d0^{1/2} Dg (Dg d0^{1/2} on the far slice),
-    # componentwise-summed with the pure multivalued part over M2
-    alt_inner = LinearRelation.from_images_and_mul(
-        rep.d2, t_op @ rep.d2.basis, Subspace.zero(a_rel.dim), tol=tol)
-    alt = (alt_inner.map_output(rep.d0_sqrt @ rep.dg)
-           .cw_sum(mul_only(rep.m2, tol=tol)))
+    # alternative expression: d0^{1/2} Dg^2 d0^{1/2} on the far slice,
+    # with M2 as its multivalued part
+    alt = LinearRelation.from_images_and_mul(
+        rep.d2, rep.d0_sqrt @ rep.dg @ rep.dg @ rep.d0_sqrt @ rep.d2.basis, rep.m2,
+        tol=tol)
     diag["far_gram_alt_gap"] = float(tt.graph_gap(alt))
 
     # complement: the orthogonal sum of zero on S and T* T on the far block
@@ -196,11 +194,14 @@ def is_member(a_rel: NonnegSelfAdjointRelation, s: Subspace,
     Membership means: nonnegative selfadjoint (already certified by the
     type), range inside the complement of ``s``, and below ``a_rel`` in the
     form order.  The complement of A by S is the maximum of this set.  The
-    range test runs under ``a_rel.tol``, the order test under ``x.tol``.
+    range U ran(A0) + U-perp is read off the form (rank under ``x.tol``) and
+    tested under ``a_rel.tol``, the order under ``x.tol``.
     """
     if x.dim != a_rel.dim or s.ambient_dim != a_rel.dim:
         raise DimensionMismatchError("member candidate lives in a different space")
-    if s.complement().containment_defect(x.rel.ran) > a_rel.tol.eq_abs:
+    ran = np.hstack([x.dom.basis @ kernel.orthonormal_columns(x.op_compressed, x.tol),
+                     x.mul.basis])
+    if s.complement().containment_defect(Subspace(x.dim, ran)) > a_rel.tol.eq_abs:
         return False
     return leq(x, a_rel)
 
@@ -281,11 +282,14 @@ class PekarevResult:
 def pekarev(res: SchurResult) -> PekarevResult:
     """Projection route to the complement and compression.
 
-    Three domain conditions make the route legitimate; in finite dimension
-    they always hold, so a failure signals a rank-policy bug and raises
-    :class:`ConditionViolatedError`.  The resulting relations are compared
-    against the block formula; the gaps land in the diagnostics.  A, S and
-    the tolerances are those ``res`` was built with.
+    Three domain conditions make the route legitimate: P_L keeps the root's
+    image over dom(A) inside dom(root), and g* g and Dg^2 map D2 into D2, so
+    that d^{1/2} g* g d^{1/2} and d^{1/2} Dg^2 d^{1/2} keep D2 as domain.
+    The last two read ``||(P_Sp - P_D2) X P_D2||``, unitless as ||g|| <= 1.
+    In finite dimension all three hold, so a failure signals a rank-policy
+    bug and raises :class:`ConditionViolatedError`.  The resulting relations
+    are compared against the block formula; the gaps land in the
+    diagnostics.  A, S and the tolerances are those ``res`` was built with.
 
     The complement factor is completed by zero on the intersection of S
     with the multivalued part.  Taking closures does exactly this completion
@@ -298,13 +302,10 @@ def pekarev(res: SchurResult) -> PekarevResult:
 
     # P_L of the root's image over dom(A) must stay inside dom(root)
     c1 = res.projected_root_image_defect
-    # d^{1/2} g* g d^{1/2} and d^{1/2} Dg^2 d^{1/2} must keep the full far slice
-    ghg = rep.g.conj().T @ rep.g
-    chain2 = rep.d_sqrt.compose(rep.d_sqrt.map_output(ghg))
-    c2 = float(chain2.dom.gap(rep.d2))
-    dg2 = rep.dg @ rep.dg
-    chain3 = rep.d_sqrt.compose(rep.d_sqrt.map_output(dg2))
-    c3 = float(chain3.dom.gap(rep.d2))
+    # g* g and Dg^2 must map D2 into D2: no part of D2 may land in M2
+    far_mul = rep.s_perp.projector - rep.d2.projector
+    c2 = kernel.opnorm(far_mul @ rep.g.conj().T @ rep.g @ rep.d2.projector)
+    c3 = kernel.opnorm(far_mul @ rep.dg @ rep.dg @ rep.d2.projector)
     worst = max(c1, c2, c3)
     if worst > tol.eq_abs:
         raise ConditionViolatedError(

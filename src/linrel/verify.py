@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 from . import serialize
-from .block import factorize, reconstruct_b, reconstruct_c
+from .block import factorize, operator_block, reconstruct_b, reconstruct_c
 from .errors import LinRelError
 from .generator import InstanceSpec, generate, random_relation, rng_for
 from .kernel import DEFAULT_TOL, Tolerances
@@ -154,7 +154,9 @@ def _instance_checks(a, s, probe_seed: int, samples: int,
     rep = res.rep
 
     def roundtrip():
-        return rep.diagnostics["assemble_roundtrip"]
+        operator_block(rep)
+        return max(v for k, v in rep.diagnostics.items()
+                   if k == "assemble_roundtrip" or k.endswith("_decomposed"))
 
     def contraction():
         return rep.diagnostics["g_norm_excess"]

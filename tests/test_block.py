@@ -174,6 +174,10 @@ def test_analyze_requires_invariance():
 def test_block_invariants_on_battery(battery_analyses):
     for _, a, s, rep, _ in battery_analyses[:30]:
         assert rep.diagnostics["assemble_roundtrip"] < 1e-8
+        # the corners read off the form match their definitions
+        operator_block(rep)
+        for name in "abcd":
+            assert rep.diagnostics[f"{name}_decomposed"] <= 1e-8
         assert rep.diagnostics["g_norm_excess"] <= 1e-10
         # D1 is the domain slice inside S and mul is projection invariant
         assert rep.d1.equals(s.intersect(a.dom))

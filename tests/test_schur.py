@@ -4,10 +4,13 @@ The shorted-matrix oracle tests come first: everything else in this file is
 allowed to lean on them.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from linrel.errors import NotPsdError
+from linrel.errors import ConditionViolatedError, NotPsdError
+from linrel.generator import InstanceSpec, generate
 from linrel.nonneg import leq, validate
 from linrel.relation import LinearRelation, identity_relation, mul_only, zero_operator_on
 from linrel.schur import (
@@ -240,3 +243,16 @@ def test_projection_route_on_battery(battery_analyses):
         out = pekarev(res)
         assert out.diagnostics["schur_gap"] < 1e-8
         assert out.diagnostics["compression_gap"] < 1e-8
+
+
+def test_projection_route_rejects_a_contraction_leaving_the_far_domain():
+    # g = u x* with u in S and x half in D2, half in M2: g* g sends the D2
+    # part of x into M2, so condition c2 reads 1/2
+    a, s = generate(InstanceSpec(ambient_dim=6, s_dim=3, d1_dim=2, d2_dim=2, seed=1))
+    res = schur_analysis(a, s)
+    rep = res.rep
+    assert rep.m2.dim == 1
+    x = (rep.d2.basis[:, :1] + rep.m2.basis) / np.sqrt(2.0)
+    g = s.basis[:, :1] @ x.conj().T
+    with pytest.raises(ConditionViolatedError):
+        pekarev(replace(res, rep=replace(rep, g=g)))

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linrel.errors import InternalInconsistencyError
 from linrel.generator import InstanceSpec, generate, rng_for
 from linrel.kernel import opnorm
 from linrel.nonneg import NonnegSelfAdjointRelation
@@ -89,12 +88,19 @@ def test_unitary_covariance(instance, q_seed):
     _check_unitary_covariance(a, s, _unitary(q_seed, a.dim))
 
 
-@pytest.mark.xfail(raises=InternalInconsistencyError, strict=True, reason=(
-    "defect: at |cA| ~ 1.7e5 the domain of corner d, recovered from its graph, "
-    "is 5e-10 off D2, above the rank cutoff of restrict(dom A), so the "
-    "compression loses a domain direction"))
-def test_scale_equivariance_on_a_proper_domain_at_large_norm():
-    # found by an undirected search of the same space: 2 of 3000 draws fail
-    spec = InstanceSpec(ambient_dim=6, s_dim=1, d1_dim=0, d2_dim=2,
-                        seed=1234411796, spectrum_scale=231.55830415456197)
-    _check_scale_equivariance(*generate(spec), 748.8817767570902)
+@pytest.mark.parametrize("spec, c", [
+    (InstanceSpec(ambient_dim=6, s_dim=1, d1_dim=0, d2_dim=2,
+                  seed=1234411796, spectrum_scale=231.55830415456197), 748.8817767570902),
+    (InstanceSpec(ambient_dim=4, s_dim=0, d1_dim=0, d2_dim=3,
+                  seed=238384870, spectrum_scale=951.1978917039027), 592.5854853890155),
+])
+def test_scale_equivariance_on_a_proper_domain_at_large_norm(spec, c):
+    """Proper domains at |cA| between 1e5 and 1e6, found by undirected searches.
+
+    When the corner d was validated from its graph, its recovered domain
+    drifted off D2 by more than the rank cutoff of restrict(dom A), so the
+    compression lost a domain direction and schur_analysis raised
+    InternalInconsistencyError on both instances.  The corners are now
+    read off the form, whose domain slice D2 is known.
+    """
+    _check_scale_equivariance(*generate(spec), c)

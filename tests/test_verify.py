@@ -69,21 +69,36 @@ def test_relations_proven_by_construction_are_not_revalidated(monkeypatch):
     nonneg.friedrichs(partial)
     assert calls == []
 
-    # the two diagonal corners and the two Gram products; the complement
-    # is the orthogonal sum of the far Gram product and zero on S
+    # only the two Gram products: the corners are read off the form, and
+    # the complement is the orthogonal sum of the far Gram product and zero
+    # on S
     res = schur.schur_analysis(a, s)
-    assert len(calls) == 4
+    assert len(calls) == 2
     calls.clear()
     schur.maximality_probe(res, samples=10)
     assert calls == []
 
 
-def test_verify_validates_seven_relations_per_trial(monkeypatch):
+def test_verify_validates_five_relations_per_trial(monkeypatch):
+    # the two Gram products of schur_analysis, the general relation's Gram
+    # product, and the two Gram products of the projection route
     calls = _count_validate(monkeypatch)
     trials = 3
     report = run_verification(seed=5, trials=trials, max_dim=4)
     assert report.ok
-    assert len(calls) == 7 * trials
+    assert len(calls) == 5 * trials
+
+
+def test_maximality_probe_builds_no_graph(monkeypatch):
+    # every sample is a form, and membership reads its range off the form
+    a, s = generate(InstanceSpec(ambient_dim=8, s_dim=4, d1_dim=3, d2_dim=3, seed=3))
+    res = schur.schur_analysis(a, s)
+    calls = []
+    counting = staticmethod(_counting(LinearRelation.from_images_and_mul, calls))
+    monkeypatch.setattr(LinearRelation, "from_images_and_mul", counting)
+    report = schur.maximality_probe(res, samples=10)
+    assert report.ok and report.members
+    assert calls == []
 
 
 def test_validate_keeps_its_input_and_form_results_keep_mul():
