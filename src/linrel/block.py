@@ -36,7 +36,7 @@ from .errors import ComponentMismatchError, InternalInconsistencyError
 from .kernel import Tolerances
 from .nonneg import NonnegSelfAdjointRelation
 from .relation import LinearRelation
-from .subspace import Subspace, require_invariant
+from .subspace import Subspace, _orthogonal_sum, require_invariant
 
 __all__ = ["BlockRepresentation", "assemble", "analyze", "operator_block", "factorize"]
 
@@ -122,10 +122,11 @@ def assemble(a: LinearRelation, b: LinearRelation, c: LinearRelation,
     ga, gb, gc, gd = (r.graph.basis for r in (a, b, c, d))
     ra, rb, rc, rd = (g.shape[1] for g in (ga, gb, gc, gd))
     # shared inputs: the S-input of a and c agree, likewise b and d in
-    # S-perp; the two constraints share no coefficient, so their joint
-    # kernel is the direct sum of the two kernels
-    ac = kernel.null_space(np.hstack([ga[:n], -gc[:n]]), tol)
-    bd = kernel.null_space(np.hstack([gb[:n], -gd[:n]]), tol)
+    # S-perp, so each agreement reads in the coordinates of its component;
+    # the two constraints share no coefficient, so their joint kernel is the
+    # direct sum of the two kernels
+    ac = kernel.null_space(s.basis.conj().T @ np.hstack([ga[:n], -gc[:n]]), tol)
+    bd = kernel.null_space(sp.basis.conj().T @ np.hstack([gb[:n], -gd[:n]]), tol)
     ca, cc = ac[:ra], ac[ra:]
     cb, cd = bd[:rb], bd[rb:]
     x = np.hstack([ga[:n] @ ca, gb[:n] @ cb])
@@ -134,23 +135,20 @@ def assemble(a: LinearRelation, b: LinearRelation, c: LinearRelation,
     return LinearRelation(n, n, Subspace(2 * n, basis), tol=tol)
 
 
-def _partial_isometry(corner: np.ndarray, frame: np.ndarray, root_ambient: np.ndarray,
-                      tol: Tolerances) -> np.ndarray:
+def _partial_isometry(w: np.ndarray, q: np.ndarray, frame: np.ndarray,
+                      root_ambient: np.ndarray) -> np.ndarray:
     """Partial isometry sending (corner root) h to (A root) h on the frame.
 
-    ``corner`` is the compressed PSD block in the ``frame`` coordinates.  The
-    eigenvectors with nonzero eigenvalue span the initial space; their images
-    under the ambient root, scaled back by the root eigenvalues, are
-    orthonormal in exact arithmetic.  A polar correction restores exact
-    isometry, which keeps downstream contractions at norm <= 1 even for
-    ill-conditioned corners.
+    ``w, q`` are the eigenpairs of the compressed PSD corner block in the
+    ``frame`` coordinates, cut as the corner root cuts them, so the
+    eigenvectors with nonzero eigenvalue span the root's initial space;
+    their images under the ambient root, scaled back by the root
+    eigenvalues, are orthonormal in exact arithmetic.  A polar correction
+    restores exact isometry, which keeps downstream contractions at norm
+    <= 1 even for ill-conditioned corners.
     """
     n = root_ambient.shape[0]
-    k = corner.shape[0]
-    if k == 0:
-        return np.zeros((n, n), dtype=np.complex128)
-    w, q = np.linalg.eigh(kernel.hermitian_part(corner))
-    keep = w > kernel.rank_cutoff(w[::-1], tol)
+    keep = w > 0.0
     if not np.any(keep):
         return np.zeros((n, n), dtype=np.complex128)
     initial = frame @ q[:, keep]
@@ -178,11 +176,12 @@ def analyze(a_rel: NonnegSelfAdjointRelation, s: Subspace) -> BlockRepresentatio
     m1 = s.intersect(big.mul, tol)
     m2 = sp.intersect(big.mul, tol)
 
+    # each pair lies in S and S-perp, or in dom(A) and its complement
     diagnostics = {
         "dom_split": invariance.residuals[1],
-        "mul_split": m1.add(m2, tol).gap(big.mul),
-        "s_split": d1.add(m1, tol).gap(s),
-        "s_perp_split": d2.add(m2, tol).gap(sp),
+        "mul_split": _orthogonal_sum(m1, m2, tol).gap(big.mul),
+        "s_split": _orthogonal_sum(d1, m1, tol).gap(s),
+        "s_perp_split": _orthogonal_sum(d2, m2, tol).gap(sp),
     }
 
     op_amb = big.op_ambient
@@ -197,15 +196,18 @@ def analyze(a_rel: NonnegSelfAdjointRelation, s: Subspace) -> BlockRepresentatio
     def corner(dom, images, mul):
         return LinearRelation.from_images_and_mul(dom, images, mul, tol=tol)
 
-    a0_root, d0_root = kernel.psd_sqrt(a0, tol), kernel.psd_sqrt(d0, tol)
+    # one eigendecomposition per diagonal block gives its root and the
+    # partial isometry below
+    a0_root, *a_eig = kernel._psd_root_and_eigh(a0, tol)
+    d0_root, *d_eig = kernel._psd_root_and_eigh(d0, tol)
     a_sqrt = corner(d1, b1 @ a0_root, m1)
     d_sqrt = corner(d2, b2 @ d0_root, m2)
     a0_sqrt = b1 @ a0_root @ b1.conj().T
     d0_sqrt = b2 @ d0_root @ b2.conj().T
 
     root_amb = big.sqrt_ambient
-    v1 = _partial_isometry(a0, b1, root_amb, tol)
-    v2 = _partial_isometry(d0, b2, root_amb, tol)
+    v1 = _partial_isometry(*a_eig, b1, root_amb)
+    v2 = _partial_isometry(*d_eig, b2, root_amb)
     diagnostics["v1_intertwines"] = kernel.opnorm((v1 @ a0_sqrt - root_amb) @ b1)
     diagnostics["v2_intertwines"] = kernel.opnorm((v2 @ d0_sqrt - root_amb) @ b2)
 

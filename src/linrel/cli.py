@@ -10,6 +10,7 @@ that cannot be parsed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -281,7 +282,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="output format (default json)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept.
+
+    ``parse_args`` returns a fresh namespace on every call and the parser
+    holds no per-call state, so one instance serves every :func:`main`.
+    """
     parser = argparse.ArgumentParser(
         prog="linrel",
         description="Schur complements and compressions of nonnegative "

@@ -243,16 +243,25 @@ def psd_sqrt(h, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     square-rooted: the root would amplify eigenvalue noise eps to sqrt(eps),
     promoting a numerically-zero block to a visible spurious action.
     """
+    return _psd_root_and_eigh(h, tol)[0]
+
+
+def _psd_root_and_eigh(h, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`psd_sqrt` with the eigenpairs it was taken from: ``(root, w, v)``.
+
+    ``w`` is ascending with every eigenvalue below the shared rank cutoff set
+    to 0, so the eigenvectors with nonzero ``w`` span the root's range.  For
+    callers that need the root and the eigenvectors from one ``eigh``.
+    """
     w, v = hermitian_eig(h, tol)
     if w.size == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
+        return np.zeros((0, 0), dtype=np.complex128), w, v
     wmin = float(w[0])
     if wmin < -tol.eq_abs:
         raise NotPsdError(f"eigenvalue {wmin:.3e} below -eq_abs", witness=wmin)
     w = np.clip(w, 0.0, None)
     w[w < rank_cutoff(w[::-1], tol)] = 0.0
-    root = (v * np.sqrt(w)) @ v.conj().T
-    return hermitian_part(root)
+    return hermitian_part((v * np.sqrt(w)) @ v.conj().T), w, v
 
 
 def pseudo_inverse(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

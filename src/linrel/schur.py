@@ -10,9 +10,17 @@ selfadjoint on the same space:
   on S and on the far side equals the Gram product T* T of the relation
   T = Dg d^{1/2} with domain the far domain slice;
 * the compression of A to S, the Gram product of the row relation
-  a^{1/2} P_S + g d^{1/2} P_{S-perp} restricted to dom(A).
+  a^{1/2} P_S + g d^{1/2} P_{S-perp} on dom(A).
 
-Each comes with independent cross-checks computed along the way: an
+Each relation-calculus construction runs on the isometric copy of its graph
+inside the component product that holds it: T and T* T inside S-perp x
+S-perp, the row from dom(A) into S, and the alternative expressions in the
+same coordinates.  Both results are stored as forms (dom, A0) read off the
+coordinate Gram products.  Projector gaps, kernels and ranks do not change
+under the isometric embedding, so every certificate reads the same fact it
+would read on the ambient graph, at the size of the component.
+
+Each result comes with independent cross-checks computed along the way: an
 alternative matrix expression for T* T, the single-row matrix expression for
 the compression, range and multivalued-part identities, and form-order
 domination by A.  On top of that the module offers membership and maximality
@@ -72,8 +80,10 @@ class SchurResult:
     ``tol`` are the inputs every consumer of this result reads.
     ``l_space`` is the closure of the image of the near domain slice under
     the root of A, intersected with dom(A); the projection formula pivots on
-    it.  ``diagnostics`` holds the residuals of every identity checked
-    during construction.
+    it.  It is read off the form as U ran(sqrt(A0) U* P_D1), since the root
+    maps D1 to U sqrt(A0) U* D1 plus mul(A), orthogonal to dom(A) = ran U.
+    ``diagnostics`` holds the residuals of every identity checked during
+    construction.
     """
 
     rep: BlockRepresentation
@@ -104,11 +114,16 @@ def schur_analysis(a_rel: NonnegSelfAdjointRelation, s: Subspace) -> SchurResult
     tol = a_rel.tol
     rep = analyze(a_rel, s)
     sp = rep.s_perp
+    n, k, u = a_rel.dim, a_rel.dom.dim, a_rel.dom.basis
+    s_h, sp_h = s.basis.conj().T, sp.basis.conj().T
     diag: dict = {}
 
-    # far block: T = Dg d^{1/2}, then T* T computed in S-perp coordinates
-    t_rel = rep.d_sqrt.map_output(rep.dg)
-    t_c = t_rel.compress_to(sp, sp)
+    # the roots of the diagonal corners in S and S-perp coordinates
+    a_sqrt_c = rep.a_sqrt.compress_to(s, s)
+    d_sqrt_c = rep.d_sqrt.compress_to(sp, sp)
+
+    # far block: T = Dg d^{1/2} and T* T, in S-perp coordinates
+    t_c = d_sqrt_c.map_output(sp_h @ rep.dg @ sp.basis)
     tt_c, tt_diag = gram_with_diagnostics(t_c)
     worst_tt = max(tt_diag.values()) if tt_diag else 0.0
     diag["far_gram_identities"] = float(worst_tt)
@@ -116,19 +131,19 @@ def schur_analysis(a_rel: NonnegSelfAdjointRelation, s: Subspace) -> SchurResult
         raise InternalInconsistencyError(
             f"Gram identities of the far corner failed: residual {worst_tt:.3e}"
         )
-    tt = tt_c.rel.embed_from(sp, sp)
 
     # alternative expression: d0^{1/2} Dg^2 d0^{1/2} on the far slice,
     # with M2 as its multivalued part
     alt = LinearRelation.from_images_and_mul(
-        rep.d2, rep.d0_sqrt @ rep.dg @ rep.dg @ rep.d0_sqrt @ rep.d2.basis, rep.m2,
-        tol=tol)
-    diag["far_gram_alt_gap"] = float(tt.graph_gap(alt))
+        Subspace(sp.dim, sp_h @ rep.d2.basis),
+        sp_h @ rep.d0_sqrt @ rep.dg @ rep.dg @ rep.d0_sqrt @ rep.d2.basis,
+        Subspace(sp.dim, sp_h @ rep.m2.basis), tol=tol)
+    diag["far_gram_alt_gap"] = float(tt_c.rel.graph_gap(alt))
 
     # complement: the orthogonal sum of zero on S and T* T on the far block
     schur = NonnegSelfAdjointRelation(
-        Subspace(a_rel.dim, np.hstack([rep.s.basis, sp.basis @ tt_c.dom.basis])),
-        np.pad(tt_c.op_compressed, (rep.s.dim, 0)), tol)
+        Subspace(n, np.hstack([s.basis, sp.basis @ tt_c.dom.basis])),
+        np.pad(tt_c.op_compressed, (s.dim, 0)), tol)
     diag["schur_ran_outside_far"] = float(sp.containment_defect(schur.rel.ran))
     ok, below = leq_report(schur, a_rel)
     diag["schur_below_defect"] = float(below)
@@ -138,10 +153,11 @@ def schur_analysis(a_rel: NonnegSelfAdjointRelation, s: Subspace) -> SchurResult
         )
 
     # compression: Gram product of the row a^{1/2} P_S + g d^{1/2} P_{S-perp}
-    r1 = rep.a_sqrt.pull_input(rep.s.projector).restrict(a_rel.dom)
-    r2 = rep.d_sqrt.pull_input(sp.projector).map_output(rep.g).restrict(a_rel.dom)
+    # from dom(A) into S, in the coordinates of both
+    r1 = a_sqrt_c.pull_input(s_h @ u)
+    r2 = d_sqrt_c.map_output(s_h @ rep.g @ sp.basis).pull_input(sp_h @ u)
     row = r1.add(r2)
-    diag["row_mul_gap"] = float(row.mul.gap(rep.m1))
+    diag["row_mul_gap"] = float(row.mul.gap(Subspace(s.dim, s_h @ rep.m1.basis)))
     comp_c, comp_diag = gram_with_diagnostics(row)
     worst_row = max(comp_diag.values()) if comp_diag else 0.0
     diag["compression_gram_identities"] = float(worst_row)
@@ -149,14 +165,16 @@ def schur_analysis(a_rel: NonnegSelfAdjointRelation, s: Subspace) -> SchurResult
         raise InternalInconsistencyError(
             f"Gram identities of the row relation failed: residual {worst_row:.3e}"
         )
-    compression = comp_c
+    compression = NonnegSelfAdjointRelation(
+        Subspace(n, u @ comp_c.dom.basis), comp_c.op_compressed, tol)
 
-    # single-matrix expression for the compression
+    # single-matrix expression for the compression, everywhere defined in
+    # dom(A) coordinates
     s_op = rep.a0_sqrt + rep.g @ rep.d0_sqrt
     sxs = kernel.hermitian_part(s_op.conj().T @ s_op)
     comp_alt = LinearRelation.from_images_and_mul(
-        a_rel.dom, sxs @ a_rel.dom.basis, a_rel.mul, tol=tol)
-    diag["compression_alt_gap"] = float(compression.rel.graph_gap(comp_alt))
+        Subspace.full(k), u.conj().T @ sxs @ u, Subspace.zero(k), tol=tol)
+    diag["compression_alt_gap"] = float(comp_c.rel.graph_gap(comp_alt))
     diag["compression_mul_gap"] = float(compression.mul.gap(a_rel.mul))
     diag["compression_dom_defect"] = float(
         compression.dom.containment_defect(a_rel.dom))
@@ -167,8 +185,11 @@ def schur_analysis(a_rel: NonnegSelfAdjointRelation, s: Subspace) -> SchurResult
             f"compression is not dominated by the relation: defect {below:.3e}"
         )
 
-    # pivot space of the projection formula, with its projector identity
-    l_space = a_rel.sqrt().rel.image(rep.d1).intersect(a_rel.dom, tol)
+    # pivot space of the projection formula, with its projector identity:
+    # the root's image of D1 is U sqrt(A0) U* D1 plus mul(A), and the
+    # intersection with dom(A) keeps the first term
+    root_image = a_rel.sqrt().op_compressed @ (u.conj().T @ rep.d1.basis)
+    l_space = Subspace(n, u @ kernel.orthonormal_columns(root_image, tol))
     diag["l_projector_gap"] = float(
         kernel.opnorm(l_space.projector - rep.v1 @ rep.v1.conj().T))
 

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from . import kernel
-from .errors import DimensionMismatchError, InvarianceViolatedError
+from .errors import DimensionMismatchError, InternalInconsistencyError, InvarianceViolatedError
 from .kernel import DEFAULT_TOL, Tolerances
 
 __all__ = ["Subspace", "InvarianceReport", "invariance_report", "require_invariant"]
@@ -165,6 +165,24 @@ class Subspace:
         return Subspace(matrix.shape[0], kernel.orthonormal_columns(matrix @ self.basis, tol))
 
 
+def _orthogonal_sum(u: Subspace, v: Subspace, tol: Tolerances) -> Subspace:
+    """Sum of two subspaces that are orthogonal by construction.
+
+    The stacked bases are orthonormal as they stand, so no rank decision is
+    made; :class:`InternalInconsistencyError` is raised when ``||U* V||``
+    exceeds ``eq_abs``, since then the construction that promised
+    orthogonality disagrees with its result.
+    """
+    u._check_ambient(v)
+    overlap = u.basis.conj().T @ v.basis
+    if not kernel.opnorm_within(overlap, tol.eq_abs):
+        raise InternalInconsistencyError(
+            f"subspaces meant to be orthogonal overlap: ||U* V|| = "
+            f"{kernel.opnorm(overlap):.3e} exceeds eq_abs"
+        )
+    return Subspace(u.ambient_dim, np.hstack([u.basis, v.basis]))
+
+
 @dataclass(frozen=True)
 class InvarianceReport:
     """Outcome of the three equivalent invariance conditions for (M, S).
@@ -220,8 +238,9 @@ def invariance_report(m: Subspace, s: Subspace, tol: Tolerances = DEFAULT_TOL) -
     sm = s.intersect(m, tol)
     spm = s_perp.intersect(m, tol)
 
-    # condition 2: the two slices recombine to all of M
-    recombined = sm.add(spm, tol)
+    # condition 2: the two slices, orthogonal as they lie in S and S-perp,
+    # recombine to all of M
+    recombined = _orthogonal_sum(sm, spm, tol)
     r2 = recombined.gap(m)
     splits = r2 <= tol.eq_abs and sm.dim + spm.dim == m.dim
 

@@ -158,7 +158,9 @@ def test_partial_isometry_cuts_at_the_shared_rank(monkeypatch):
     root = np.diag([2.0, 1.0, 0.0]).astype(complex)
     frame = np.eye(3, 2, dtype=complex)
     corner = frame.conj().T @ root @ root @ frame
-    w = block._partial_isometry(corner, frame, root, tol)
+    # the corner's eigenpairs are cut once, as its root cuts them
+    _, *eig = kernel._psd_root_and_eigh(corner, tol)
+    w = block._partial_isometry(*eig, frame, root)
     assert calls == [tol] and calls[0] is tol
     # an isometry on span{e1, e2}, zero on e3
     assert np.allclose(w.conj().T @ w, np.diag([1.0, 1.0, 0.0]), atol=1e-13)

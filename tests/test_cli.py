@@ -287,3 +287,31 @@ def test_json_mode_renders_no_text(tmp_path, capsys, monkeypatch):
         code, out, _ = _run(capsys, argv + ["--format", "text"])
         assert code == 0 and "j" in out
     assert calls
+
+
+def test_repeated_calls_share_one_parser_and_parse_independently(e2_files, capsys):
+    # the parser is built once; no option, default or error leaks between calls
+    assert cli._build_parser() is cli._build_parser()
+    rel, sub = e2_files
+    code, out, _ = _run(capsys, ["schur", "--relation", rel, "--subspace", sub,
+                                 "--method", "pekarev", "--format", "text"])
+    assert code == 0 and out.startswith("method: pekarev\n")
+    code, out, _ = _run(capsys, ["schur", "--relation", rel, "--subspace", sub])
+    assert code == 0 and json.loads(out)["method"] == "formula"
+
+    code, out, err = _run(capsys, ["compress", "--relation", rel, "--subspace", sub,
+                                   "--tol-eq", "2"])
+    assert code == 2 and out == "" and err.startswith("error: eq_abs must lie in (0, 1)")
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--trials"])
+    assert info.value.code == 2
+    assert "--trials: expected one argument" in capsys.readouterr().err
+
+    code, out, err = _run(capsys, ["verify", "--trials", "1", "--max-dim", "2",
+                                   "--samples", "0"])
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert (report["trials"], report["max_dim"], report["samples"]) == (1, 2, 0)
+    assert report["tolerances"]["eq_abs"] == 1e-8
+    code, out, err = _run(capsys, ["verify", "--trials", "-1"])
+    assert (code, out) == (2, "") and err == "error: trials must be nonnegative\n"

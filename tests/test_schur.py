@@ -9,7 +9,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from linrel.errors import ConditionViolatedError, NotPsdError
+from linrel import schur as schur_module
+from linrel.block import analyze
+from linrel.errors import ConditionViolatedError, InternalInconsistencyError, NotPsdError
 from linrel.generator import InstanceSpec, generate
 from linrel.nonneg import leq, validate
 from linrel.relation import LinearRelation, identity_relation, mul_only, zero_operator_on
@@ -256,3 +258,35 @@ def test_projection_route_rejects_a_contraction_leaving_the_far_domain():
     g = s.basis[:, :1] @ x.conj().T
     with pytest.raises(ConditionViolatedError):
         pekarev(replace(res, rep=replace(rep, g=g)))
+
+
+# ------------------------------------------- certificates in coordinates
+
+
+def _with_tampered_contraction(monkeypatch, tamper):
+    """Make ``schur_analysis`` read a block analysis whose g is ``tamper(rep)``."""
+    def tampered(a, s):
+        rep = analyze(a, s)
+        return replace(rep, g=tamper(rep))
+    monkeypatch.setattr(schur_module, "analyze", tampered)
+
+
+def test_row_with_a_corrupted_contraction_is_caught(monkeypatch):
+    # the row a^{1/2} P_S - g d^{1/2} P_Sp gives a compression that is not
+    # below A, which the domination certificate raises on
+    a, s = generate(InstanceSpec(ambient_dim=6, s_dim=3, d1_dim=2, d2_dim=2, seed=1))
+    _with_tampered_contraction(monkeypatch, lambda rep: -rep.g)
+    with pytest.raises(InternalInconsistencyError, match="compression is not dominated"):
+        schur_analysis(a, s)
+
+
+def test_row_mul_gap_sees_a_contraction_leaving_m2_alive(monkeypatch):
+    # g must vanish on M2; one that sends M2 into S adds a multivalued
+    # direction to the row, read in S coordinates against M1
+    a, s = generate(InstanceSpec(ambient_dim=6, s_dim=3, d1_dim=2, d2_dim=2, seed=1))
+    assert schur_analysis(a, s).diagnostics["row_mul_gap"] <= 1e-12
+    _with_tampered_contraction(
+        monkeypatch, lambda rep: rep.g + s.basis[:, :1] @ rep.m2.basis.conj().T)
+    diag = schur_analysis(a, s).diagnostics
+    assert diag["row_mul_gap"] == 1.0
+    assert diag["compression_alt_gap"] > 0.1

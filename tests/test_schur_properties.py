@@ -1,4 +1,5 @@
-"""Scale equivariance and unitary covariance of the complement and compression.
+"""Scale equivariance, unitary covariance and the in-line certificates of
+the complement and compression.
 
 Both properties hold exactly in the paper: schur(cA, S) = c schur(A, S),
 schur(Q A Q*, Q S) = Q schur(A, S) Q*, and likewise for the compression.
@@ -7,30 +8,41 @@ the supported range 1e-6 to 1e6 stated in the README.  Operator parts are
 compared in operator norm relative to the input's norm (a complement may
 vanish), multivalued parts by projector gap.  The examples are
 derandomized, so every run checks the same draws.
+
+Every diagnostic ``schur_analysis`` records is a residual of an identity
+that holds exactly, so each must be present and within ``eq_abs`` on every
+shape, and on everywhere-defined operators the complement must match the
+shorted-matrix oracle.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linrel.generator import InstanceSpec, generate, rng_for
 from linrel.kernel import opnorm
 from linrel.nonneg import NonnegSelfAdjointRelation
-from linrel.schur import schur_analysis
+from linrel.schur import anderson_trapp, schur_analysis
 from linrel.subspace import Subspace
 
 REL_TOL = 1e-8
 GAP_TOL = 1e-8
+DIAGNOSTIC_KEYS = {
+    "far_gram_identities", "far_gram_alt_gap", "schur_ran_outside_far",
+    "schur_below_defect", "row_mul_gap", "compression_gram_identities",
+    "compression_alt_gap", "compression_mul_gap", "compression_dom_defect",
+    "compression_below_defect", "l_projector_gap",
+}
 
 decades = st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0 ** e)
 
 
 @st.composite
-def instances(draw):
-    n = draw(st.integers(1, 6))
+def specs(draw, max_dim):
+    n = draw(st.integers(1, max_dim))
     s_dim = draw(st.integers(0, n))
-    spec = InstanceSpec(
+    return InstanceSpec(
         ambient_dim=n,
         s_dim=s_dim,
         d1_dim=draw(st.integers(0, s_dim)),
@@ -38,7 +50,10 @@ def instances(draw):
         seed=draw(st.integers(0, 2**32)),
         spectrum_scale=draw(decades),
     )
-    return generate(spec)
+
+
+def instances():
+    return specs(6).map(generate)
 
 
 def _unitary(seed, n):
@@ -104,3 +119,20 @@ def test_scale_equivariance_on_a_proper_domain_at_large_norm(spec, c):
     read off the form, whose domain slice D2 is known.
     """
     _check_scale_equivariance(*generate(spec), c)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(specs(8))
+@example(InstanceSpec(ambient_dim=8, s_dim=0, d1_dim=0, d2_dim=5, seed=3, spectrum_scale=1e3))
+@example(InstanceSpec(ambient_dim=8, s_dim=8, d1_dim=6, d2_dim=0, seed=4, spectrum_scale=1e-3))
+@example(InstanceSpec(ambient_dim=7, s_dim=3, d1_dim=3, d2_dim=4, seed=5, spectrum_scale=1e3))
+@example(InstanceSpec(ambient_dim=7, s_dim=3, d1_dim=1, d2_dim=2, seed=6, spectrum_scale=1e-3))
+def test_every_certificate_holds_on_every_shape(spec):
+    a, s = generate(spec)
+    res = schur_analysis(a, s)
+    assert set(res.diagnostics) == DIAGNOSTIC_KEYS
+    worst = max(res.diagnostics, key=res.diagnostics.get)
+    assert res.diagnostics[worst] <= a.tol.eq_abs, worst
+    if a.dom.dim == a.dim:
+        shorted = anderson_trapp(a.to_matrix(), s, a.tol)
+        assert opnorm(res.schur.to_matrix() - shorted) <= REL_TOL * opnorm(a.op_ambient)

@@ -6,10 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linrel import kernel
-from linrel.errors import DimensionMismatchError, InvarianceViolatedError
+from linrel.errors import (
+    DimensionMismatchError,
+    InternalInconsistencyError,
+    InvarianceViolatedError,
+)
 from linrel.generator import random_subspace, rng_for
 from linrel.kernel import DEFAULT_TOL
-from linrel.subspace import Subspace, invariance_report, require_invariant
+from linrel.subspace import (
+    Subspace,
+    _orthogonal_sum,
+    invariance_report,
+    require_invariant,
+)
 
 E1 = np.array([1.0, 0.0], dtype=complex)
 E2 = np.array([0.0, 1.0], dtype=complex)
@@ -186,3 +195,16 @@ def test_invariance_conditions_agree_on_random_pairs():
 def test_ambient_mismatch_raises():
     with pytest.raises(DimensionMismatchError):
         Subspace.full(2).gap(Subspace.full(3))
+
+
+def test_orthogonal_sum_stacks_and_refuses_overlap():
+    e = np.eye(3, dtype=complex)
+    u, v = Subspace(3, e[:, :1]), Subspace(3, e[:, 1:])
+    total = _orthogonal_sum(u, v, DEFAULT_TOL)
+    assert np.array_equal(total.basis, e)
+    tilted = Subspace(3, (e[:, :1] + e[:, 1:2]) / np.sqrt(2.0))
+    with pytest.raises(InternalInconsistencyError, match="overlap"):
+        _orthogonal_sum(u, tilted, DEFAULT_TOL)
+    # an overlap within eq_abs is roundoff and passes
+    nudged = Subspace(3, (e[:, 1:2] + 1e-10 * e[:, :1]) / np.sqrt(1.0 + 1e-20))
+    assert _orthogonal_sum(u, nudged, DEFAULT_TOL).dim == 2

@@ -180,17 +180,19 @@ def test_schur_analysis_work_budget(monkeypatch):
     counting_graph = staticmethod(_counting(LinearRelation.from_matrix, graph_calls))
     monkeypatch.setattr(LinearRelation, "from_matrix", counting_graph)
 
-    svd_inputs, orthonormal_callers = [], []
+    svd_inputs, orthonormal_callers, gram_rows = [], [], []
     original_svd = np.linalg.svd
 
     def recording_svd(m, *args, **kwargs):
         svd_inputs.append((m.shape, m.tobytes()))
         rows, cols = m.shape
+        frame, callers = sys._getframe(1), set()
+        while frame is not None:
+            callers.add(frame.f_code.co_name)
+            frame = frame.f_back
+        if "gram_with_diagnostics" in callers:
+            gram_rows.append(rows)
         if 0 < cols <= rows and np.allclose(m.conj().T @ m, np.eye(cols), atol=1e-12):
-            frame, callers = sys._getframe(1), set()
-            while frame is not None:
-                callers.add(frame.f_code.co_name)
-                frame = frame.f_back
             orthonormal_callers.append(callers)
         return original_svd(m, *args, **kwargs)
 
@@ -206,7 +208,11 @@ def test_schur_analysis_work_budget(monkeypatch):
     assert len(set(svd_inputs)) == len(svd_inputs)
     # spanning sets independent by construction take a QR, and products
     # that are orthonormal by construction are used as they stand
-    assert len(svd_inputs) <= 67
+    assert len(svd_inputs) <= 44
+    # both Gram products run in component coordinates: the row from dom(A)
+    # into S, the far factor inside S-perp, so no SVD in them is taller
+    # than the row's graph over dom(A) x dom(A)
+    assert gram_rows and max(gram_rows) <= 2 * a.dom.dim == 24
     by_construction = {"restrict", "ker", "compress_to", "_input_split"}
     assert [c & by_construction for c in orthonormal_callers if c & by_construction] == []
 
