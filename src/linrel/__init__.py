@@ -49,6 +49,7 @@ from .schur import (
     SchurResult,
     additive_decomposition,
     anderson_trapp,
+    certify,
     compress,
     is_member,
     maximality_probe,
@@ -94,6 +95,7 @@ __all__ = [
     "analyze",
     "anderson_trapp",
     "assemble",
+    "certify",
     "compress",
     "factorize",
     "friedrichs",

@@ -24,7 +24,7 @@ from .generator import InstanceSpec, generate
 from .kernel import Tolerances, opnorm
 from .nonneg import NonnegSelfAdjointRelation, leq, validate
 from .relation import LinearRelation
-from .schur import anderson_trapp, pekarev, schur_analysis
+from .schur import anderson_trapp, certify, pekarev, schur_analysis
 from .verify import check_counts, run_verification
 
 __all__ = ["main"]
@@ -155,7 +155,7 @@ def _cmd_block(args, tol: Tolerances) -> int:
 def _cmd_schur(args, tol: Tolerances) -> int:
     a = _load_validated(args.relation, tol)
     s = _load_subspace(args.subspace, tol)
-    res = schur_analysis(a, s)
+    res = certify(schur_analysis(a, s))
     diagnostics = serialize.dump_diagnostics(res.diagnostics)
 
     pk = pekarev(res)
@@ -206,7 +206,7 @@ def _cmd_schur(args, tol: Tolerances) -> int:
 def _cmd_compress(args, tol: Tolerances) -> int:
     a = _load_validated(args.relation, tol)
     s = _load_subspace(args.subspace, tol)
-    res = schur_analysis(a, s)
+    res = certify(schur_analysis(a, s))
     diagnostics = serialize.dump_diagnostics(res.diagnostics)
     obj = {
         "compression": serialize.dump_relation(res.compression.rel, validated=True),

@@ -7,9 +7,9 @@ a domain U and a Hermitian PSD operator A0 on it, with the multivalued part
 the orthogonal complement of U.  The form is what is stored; the graph is
 built from it on first use.  :func:`validate` certifies what is not proven:
 input from outside and the outputs of the relation calculus (Gram products,
-block corners).  Roots, scalings, generated instances, Friedrichs extensions
-and Schur complements are nonnegative selfadjoint by construction and are
-built from their form without it.
+block corners).  Roots, scalings, generated instances, Friedrichs
+extensions, Schur complements and compressions are nonnegative selfadjoint
+by construction and are built from their form without it.
 
 The partial order compares quadratic form norms: A <= B demands that the
 domain of B's root be contained in the domain of A's root and that the root

@@ -12,22 +12,26 @@ selfadjoint on the same space:
 * the compression of A to S, the Gram product of the row relation
   a^{1/2} P_S + g d^{1/2} P_{S-perp} on dom(A).
 
-Each relation-calculus construction runs on the isometric copy of its graph
-inside the component product that holds it: T and T* T inside S-perp x
-S-perp, the row from dom(A) into S, and the alternative expressions in the
-same coordinates.  Both results are stored as forms (dom, A0) read off the
-coordinate Gram products.  Projector gaps, kernels and ranks do not change
-under the isometric embedding, so every certificate reads the same fact it
-would read on the ambient graph, at the size of the component.
+:func:`schur_analysis` computes both by the paper's closed forms, as forms
+(dom, A0) read off the block analysis: the complement is d^{1/2}(1 - g* g)
+d^{1/2} on D2 and zero on S, with M2 as its multivalued part, and the
+compression is (a^{1/2} P_S + g d^{1/2} P_{S-perp})* (a^{1/2} P_S + g d^{1/2}
+P_{S-perp}) on dom(A).  It checks the range of the complement, the form-order
+domination of both results by A, and the compression's domain and
+multivalued part, and raises when a result is not below A.
 
-Each result comes with independent cross-checks computed along the way: an
-alternative matrix expression for T* T, the single-row matrix expression for
-the compression, range and multivalued-part identities, and form-order
-domination by A.  On top of that the module offers membership and maximality
-sampling for the extremal characterization of the complement, a projection
-formula routed through the square root of A, the additive decomposition
-A = compression + complement, and the classical shorted-matrix formula for
-everywhere-defined PSD matrices as a fully independent oracle.
+:func:`certify` checks the closed forms against their definitions in the
+relation calculus.  Each construction runs on the isometric copy of its
+graph inside the component product that holds it: T and T* T inside S-perp
+x S-perp, the row from dom(A) into S.  Projector gaps, kernels and ranks do
+not change under the isometric embedding, so every certificate reads the
+same fact it would read on the ambient graph, at the size of the component.
+
+On top of that the module offers membership and maximality sampling for the
+extremal characterization of the complement, a projection formula routed
+through the square root of A, the additive decomposition A = compression +
+complement, and the classical shorted-matrix formula for everywhere-defined
+PSD matrices as a fully independent oracle.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ from .subspace import Subspace
 __all__ = [
     "SchurResult",
     "schur_analysis",
+    "certify",
     "schur_complement",
     "compress",
     "is_member",
@@ -82,8 +87,9 @@ class SchurResult:
     the root of A, intersected with dom(A); the projection formula pivots on
     it.  It is read off the form as U ran(sqrt(A0) U* P_D1), since the root
     maps D1 to U sqrt(A0) U* D1 plus mul(A), orthogonal to dom(A) = ran U.
-    ``diagnostics`` holds the residuals of every identity checked during
-    construction.
+    ``diagnostics`` holds the residuals of every identity checked by
+    :func:`schur_analysis`, and of those checked by :func:`certify` once it
+    has run.
     """
 
     rep: BlockRepresentation
@@ -104,47 +110,37 @@ class SchurResult:
 
 
 def schur_analysis(a_rel: NonnegSelfAdjointRelation, s: Subspace) -> SchurResult:
-    """Build complement and compression of ``a_rel`` by the subspace ``s``.
+    """Complement and compression of ``a_rel`` by the subspace ``s``, in closed form.
 
-    Requires dom(A) invariant under the projection onto S (checked by the
-    block analysis).  Raises :class:`InternalInconsistencyError` when any
-    identity that is automatic in finite dimension fails numerically.  Every
-    rank decision runs under ``a_rel.tol``, and both results carry it.
+    Both results are forms read off the block analysis: the complement is
+    zero on S and d0^{1/2} Dg^2 d0^{1/2} on D2, with M2 as its multivalued
+    part; the compression is (s_op U)* (s_op U) on dom(A), with
+    s_op = a0^{1/2} + g d0^{1/2}.  The cheap certificates run here: range of
+    the complement, domination of both results by A, the compression's
+    domain and multivalued part, and the projector of L.  The
+    relation-calculus certificates are :func:`certify`'s.
+
+    Raises :class:`InvarianceViolatedError` when dom(A) is not invariant
+    under the projection onto S, :class:`ComponentMismatchError` when ``s``
+    lives in another space, and :class:`InternalInconsistencyError` when
+    the block analysis fails one of its identities or a result is not
+    dominated by A.  Every rank decision runs under ``a_rel.tol``, and both
+    results carry it.
     """
     tol = a_rel.tol
     rep = analyze(a_rel, s)
     sp = rep.s_perp
-    n, k, u = a_rel.dim, a_rel.dom.dim, a_rel.dom.basis
-    s_h, sp_h = s.basis.conj().T, sp.basis.conj().T
+    n, u = a_rel.dim, a_rel.dom.basis
     diag: dict = {}
 
-    # the roots of the diagonal corners in S and S-perp coordinates
-    a_sqrt_c = rep.a_sqrt.compress_to(s, s)
-    d_sqrt_c = rep.d_sqrt.compress_to(sp, sp)
-
-    # far block: T = Dg d^{1/2} and T* T, in S-perp coordinates
-    t_c = d_sqrt_c.map_output(sp_h @ rep.dg @ sp.basis)
-    tt_c, tt_diag = gram_with_diagnostics(t_c)
-    worst_tt = max(tt_diag.values()) if tt_diag else 0.0
-    diag["far_gram_identities"] = float(worst_tt)
-    if worst_tt > tol.eq_abs:
-        raise InternalInconsistencyError(
-            f"Gram identities of the far corner failed: residual {worst_tt:.3e}"
-        )
-
-    # alternative expression: d0^{1/2} Dg^2 d0^{1/2} on the far slice,
-    # with M2 as its multivalued part
-    alt = LinearRelation.from_images_and_mul(
-        Subspace(sp.dim, sp_h @ rep.d2.basis),
-        sp_h @ rep.d0_sqrt @ rep.dg @ rep.dg @ rep.d0_sqrt @ rep.d2.basis,
-        Subspace(sp.dim, sp_h @ rep.m2.basis), tol=tol)
-    diag["far_gram_alt_gap"] = float(tt_c.rel.graph_gap(alt))
-
-    # complement: the orthogonal sum of zero on S and T* T on the far block
+    # complement: the orthogonal sum of zero on S and the far block
+    # d0^{1/2} Dg^2 d0^{1/2} on D2; its domain complement is M2
+    b2 = rep.d2.basis
+    far = kernel.hermitian_part(
+        b2.conj().T @ rep.d0_sqrt @ rep.dg @ rep.dg @ rep.d0_sqrt @ b2)
     schur = NonnegSelfAdjointRelation(
-        Subspace(n, np.hstack([s.basis, sp.basis @ tt_c.dom.basis])),
-        np.pad(tt_c.op_compressed, (s.dim, 0)), tol)
-    diag["schur_ran_outside_far"] = float(sp.containment_defect(schur.rel.ran))
+        Subspace(n, np.hstack([s.basis, b2])), np.pad(far, (s.dim, 0)), tol)
+    diag["schur_ran_outside_far"] = float(sp.containment_defect(_form_range(schur)))
     ok, below = leq_report(schur, a_rel)
     diag["schur_below_defect"] = float(below)
     if not ok:
@@ -152,29 +148,11 @@ def schur_analysis(a_rel: NonnegSelfAdjointRelation, s: Subspace) -> SchurResult
             f"complement is not dominated by the relation: defect {below:.3e}"
         )
 
-    # compression: Gram product of the row a^{1/2} P_S + g d^{1/2} P_{S-perp}
-    # from dom(A) into S, in the coordinates of both
-    r1 = a_sqrt_c.pull_input(s_h @ u)
-    r2 = d_sqrt_c.map_output(s_h @ rep.g @ sp.basis).pull_input(sp_h @ u)
-    row = r1.add(r2)
-    diag["row_mul_gap"] = float(row.mul.gap(Subspace(s.dim, s_h @ rep.m1.basis)))
-    comp_c, comp_diag = gram_with_diagnostics(row)
-    worst_row = max(comp_diag.values()) if comp_diag else 0.0
-    diag["compression_gram_identities"] = float(worst_row)
-    if worst_row > tol.eq_abs:
-        raise InternalInconsistencyError(
-            f"Gram identities of the row relation failed: residual {worst_row:.3e}"
-        )
+    # compression: the Gram matrix of the row a^{1/2} P_S + g d^{1/2} P_Sp
+    # on dom(A), everywhere defined there, so mul(A) is its multivalued part
+    s_op_u = (rep.a0_sqrt + rep.g @ rep.d0_sqrt) @ u
     compression = NonnegSelfAdjointRelation(
-        Subspace(n, u @ comp_c.dom.basis), comp_c.op_compressed, tol)
-
-    # single-matrix expression for the compression, everywhere defined in
-    # dom(A) coordinates
-    s_op = rep.a0_sqrt + rep.g @ rep.d0_sqrt
-    sxs = kernel.hermitian_part(s_op.conj().T @ s_op)
-    comp_alt = LinearRelation.from_images_and_mul(
-        Subspace.full(k), u.conj().T @ sxs @ u, Subspace.zero(k), tol=tol)
-    diag["compression_alt_gap"] = float(comp_c.rel.graph_gap(comp_alt))
+        a_rel.dom, kernel.hermitian_part(s_op_u.conj().T @ s_op_u), tol)
     diag["compression_mul_gap"] = float(compression.mul.gap(a_rel.mul))
     diag["compression_dom_defect"] = float(
         compression.dom.containment_defect(a_rel.dom))
@@ -197,15 +175,97 @@ def schur_analysis(a_rel: NonnegSelfAdjointRelation, s: Subspace) -> SchurResult
                        l_space=l_space, diagnostics=diag)
 
 
+def certify(res: SchurResult) -> SchurResult:
+    """Certify the results of :func:`schur_analysis` by the relation calculus.
+
+    Builds both results by their definitions, in the coordinates of the
+    component product that holds each: the far factor T = Dg d^{1/2} and
+    T* T inside S-perp x S-perp, and the row a^{1/2} P_S + g d^{1/2} P_Sp
+    from dom(A) into S with its Gram product.  Records in ``res.diagnostics``
+    the Gram identity residuals (``far_gram_identities``,
+    ``compression_gram_identities``), the row's multivalued part against M1
+    (``row_mul_gap``), and the graph gaps between each Gram product and the
+    returned result in the same coordinates (``far_gram_alt_gap``,
+    ``compression_alt_gap``).
+
+    Raises :class:`InternalInconsistencyError` when a Gram identity residual
+    exceeds ``eq_abs``, and the errors of :func:`validate` when a Gram
+    product fails to validate.  Returns ``res``.
+    """
+    rep = res.rep
+    s, sp, tol = rep.s, rep.s_perp, rep.tol
+    u = rep.relation.dom.basis
+    s_h, sp_h = s.basis.conj().T, sp.basis.conj().T
+    diag = res.diagnostics
+
+    # the roots of the diagonal corners in S and S-perp coordinates
+    a_sqrt_c = rep.a_sqrt.compress_to(s, s)
+    d_sqrt_c = rep.d_sqrt.compress_to(sp, sp)
+
+    # far block: T = Dg d^{1/2} and T* T, in S-perp coordinates
+    t_c = d_sqrt_c.map_output(sp_h @ rep.dg @ sp.basis)
+    tt_c, tt_diag = gram_with_diagnostics(t_c)
+    worst_tt = max(tt_diag.values()) if tt_diag else 0.0
+    diag["far_gram_identities"] = float(worst_tt)
+    if worst_tt > tol.eq_abs:
+        raise InternalInconsistencyError(
+            f"Gram identities of the far corner failed: residual {worst_tt:.3e}"
+        )
+
+    # the returned complement on D2, with M2 as its multivalued part
+    far = LinearRelation.from_images_and_mul(
+        Subspace(sp.dim, sp_h @ rep.d2.basis),
+        sp_h @ res.schur.op_ambient @ rep.d2.basis,
+        Subspace(sp.dim, sp_h @ rep.m2.basis), tol=tol)
+    diag["far_gram_alt_gap"] = float(tt_c.rel.graph_gap(far))
+
+    # compression: Gram product of the row a^{1/2} P_S + g d^{1/2} P_{S-perp}
+    # from dom(A) into S, in the coordinates of both
+    r1 = a_sqrt_c.pull_input(s_h @ u)
+    r2 = d_sqrt_c.map_output(s_h @ rep.g @ sp.basis).pull_input(sp_h @ u)
+    row = r1.add(r2)
+    diag["row_mul_gap"] = float(row.mul.gap(Subspace(s.dim, s_h @ rep.m1.basis)))
+    comp_c, comp_diag = gram_with_diagnostics(row)
+    worst_row = max(comp_diag.values()) if comp_diag else 0.0
+    diag["compression_gram_identities"] = float(worst_row)
+    if worst_row > tol.eq_abs:
+        raise InternalInconsistencyError(
+            f"Gram identities of the row relation failed: residual {worst_row:.3e}"
+        )
+
+    # the returned compression, everywhere defined in dom(A) coordinates
+    k = u.shape[1]
+    comp = LinearRelation.from_images_and_mul(
+        Subspace.full(k), u.conj().T @ res.compression.op_ambient @ u,
+        Subspace.zero(k), tol=tol)
+    diag["compression_alt_gap"] = float(comp_c.rel.graph_gap(comp))
+    return res
+
+
 def schur_complement(a_rel: NonnegSelfAdjointRelation,
                      s: Subspace) -> NonnegSelfAdjointRelation:
-    """The complement of ``a_rel`` by ``s``; see :func:`schur_analysis`."""
+    """The complement of ``a_rel`` by ``s``, in closed form.
+
+    Raises what :func:`schur_analysis` raises; the relation-calculus
+    certificates of :func:`certify` do not run.
+    """
     return schur_analysis(a_rel, s).schur
 
 
 def compress(a_rel: NonnegSelfAdjointRelation, s: Subspace) -> NonnegSelfAdjointRelation:
-    """The compression of ``a_rel`` to ``s``; see :func:`schur_analysis`."""
+    """The compression of ``a_rel`` to ``s``, in closed form.
+
+    Raises what :func:`schur_analysis` raises; the relation-calculus
+    certificates of :func:`certify` do not run.
+    """
     return schur_analysis(a_rel, s).compression
+
+
+def _form_range(x: NonnegSelfAdjointRelation) -> Subspace:
+    """The range U ran(A0) + U-perp of a form, rank under ``x.tol``."""
+    return Subspace(x.dim, np.hstack([
+        x.dom.basis @ kernel.orthonormal_columns(x.op_compressed, x.tol),
+        x.mul.basis]))
 
 
 def is_member(a_rel: NonnegSelfAdjointRelation, s: Subspace,
@@ -220,9 +280,7 @@ def is_member(a_rel: NonnegSelfAdjointRelation, s: Subspace,
     """
     if x.dim != a_rel.dim or s.ambient_dim != a_rel.dim:
         raise DimensionMismatchError("member candidate lives in a different space")
-    ran = np.hstack([x.dom.basis @ kernel.orthonormal_columns(x.op_compressed, x.tol),
-                     x.mul.basis])
-    if s.complement().containment_defect(Subspace(x.dim, ran)) > a_rel.tol.eq_abs:
+    if s.complement().containment_defect(_form_range(x)) > a_rel.tol.eq_abs:
         return False
     return leq(x, a_rel)
 

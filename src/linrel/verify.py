@@ -20,6 +20,7 @@ from .kernel import DEFAULT_TOL, Tolerances
 from .nonneg import gram_with_diagnostics
 from .schur import (
     additive_decomposition,
+    certify,
     is_member,
     maximality_probe,
     pekarev,
@@ -150,7 +151,7 @@ def _general_relation_checks(t, tol: Tolerances) -> list:
 
 def _instance_checks(a, s, probe_seed: int, samples: int,
                      tol: Tolerances) -> list:
-    res = schur_analysis(a, s)
+    res = certify(schur_analysis(a, s))
     rep = res.rep
 
     def roundtrip():

@@ -9,7 +9,7 @@ import pytest
 
 from linrel.generator import InstanceSpec, generate, random_relation, rng_for
 from linrel.kernel import DEFAULT_TOL
-from linrel.schur import schur_analysis
+from linrel.schur import certify, schur_analysis
 
 BATTERY_SIZE = 1000
 BATTERY_SEED = 9001
@@ -43,10 +43,10 @@ def battery():
 
 @pytest.fixture(scope="session")
 def battery_analyses(battery):
-    """The battery with Schur analyses and the block analyses they used."""
+    """The battery with certified Schur analyses and the block analyses they used."""
     analyses = []
     for spec, a, s in battery:
-        res = schur_analysis(a, s)
+        res = certify(schur_analysis(a, s))
         analyses.append((spec, a, s, res.rep, res))
     return analyses
 

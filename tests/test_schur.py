@@ -11,13 +11,20 @@ import pytest
 
 from linrel import schur as schur_module
 from linrel.block import analyze
-from linrel.errors import ConditionViolatedError, InternalInconsistencyError, NotPsdError
+from linrel.errors import (
+    ConditionViolatedError,
+    InternalInconsistencyError,
+    NotPsdError,
+    NotSelfAdjointError,
+)
 from linrel.generator import InstanceSpec, generate
+from linrel.kernel import opnorm
 from linrel.nonneg import leq, validate
 from linrel.relation import LinearRelation, identity_relation, mul_only, zero_operator_on
 from linrel.schur import (
     additive_decomposition,
     anderson_trapp,
+    certify,
     compress,
     is_member,
     maximality_probe,
@@ -284,9 +291,45 @@ def test_row_mul_gap_sees_a_contraction_leaving_m2_alive(monkeypatch):
     # g must vanish on M2; one that sends M2 into S adds a multivalued
     # direction to the row, read in S coordinates against M1
     a, s = generate(InstanceSpec(ambient_dim=6, s_dim=3, d1_dim=2, d2_dim=2, seed=1))
-    assert schur_analysis(a, s).diagnostics["row_mul_gap"] <= 1e-12
+    assert certify(schur_analysis(a, s)).diagnostics["row_mul_gap"] <= 1e-12
     _with_tampered_contraction(
         monkeypatch, lambda rep: rep.g + s.basis[:, :1] @ rep.m2.basis.conj().T)
-    diag = schur_analysis(a, s).diagnostics
+    diag = certify(schur_analysis(a, s)).diagnostics
     assert diag["row_mul_gap"] == 1.0
     assert diag["compression_alt_gap"] > 0.1
+
+
+def test_far_gram_alt_gap_sees_a_defect_root_the_complement_did_not_use():
+    # certify builds T = Dg d^{1/2} from the block analysis it is handed and
+    # compares T* T with the complement schur_analysis returned
+    a, s = generate(InstanceSpec(ambient_dim=6, s_dim=3, d1_dim=2, d2_dim=2, seed=1))
+    res = schur_analysis(a, s)
+    tampered = replace(res, rep=replace(res.rep, dg=0.5 * res.rep.dg), diagnostics={})
+    assert certify(tampered).diagnostics["far_gram_alt_gap"] > 0.1
+    assert certify(res).diagnostics["far_gram_alt_gap"] <= 1e-12
+
+
+@pytest.mark.parametrize("seed, scale, error", [
+    (16, 1e7, InternalInconsistencyError),
+    (0, 1e8, InternalInconsistencyError),
+    (1, 1e8, NotSelfAdjointError),
+])
+def test_closed_forms_hold_where_the_gram_products_give_out(seed, scale, error):
+    """At spectrum scale 1e7 and 1e8 the Gram products fail to validate.
+
+    Their operator-part solve residual or Hermitian defect grows with the
+    scale against the absolute ``eq_abs``, so :func:`certify` raises as
+    ``schur_analysis`` raised when it computed both results that way.  The
+    closed forms stay exact: both results are ``scale`` times the scale-1
+    results, since ``generate`` scales the form.
+    """
+    base = schur_analysis(*generate(InstanceSpec(8, 4, 4, 4, seed=seed)))
+    a, s = generate(InstanceSpec(8, 4, 4, 4, seed=seed, spectrum_scale=scale))
+    res = schur_analysis(a, s)
+    norm = opnorm(a.op_ambient)
+    for name in ("schur", "compression"):
+        got, want = getattr(res, name), getattr(base, name)
+        assert opnorm(got.op_ambient - scale * want.op_ambient) <= 1e-12 * norm
+        assert got.dom.gap(want.dom) <= 1e-12
+    with pytest.raises(error):
+        certify(res)

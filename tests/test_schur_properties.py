@@ -9,10 +9,10 @@ compared in operator norm relative to the input's norm (a complement may
 vanish), multivalued parts by projector gap.  The examples are
 derandomized, so every run checks the same draws.
 
-Every diagnostic ``schur_analysis`` records is a residual of an identity
-that holds exactly, so each must be present and within ``eq_abs`` on every
-shape, and on everywhere-defined operators the complement must match the
-shorted-matrix oracle.
+Every diagnostic ``schur_analysis`` and ``certify`` record is a residual of
+an identity that holds exactly, so each must be present and within
+``eq_abs`` on every shape, and on everywhere-defined operators the
+complement must match the shorted-matrix oracle.
 """
 
 import numpy as np
@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from linrel.generator import InstanceSpec, generate, rng_for
 from linrel.kernel import opnorm
 from linrel.nonneg import NonnegSelfAdjointRelation
-from linrel.schur import anderson_trapp, schur_analysis
+from linrel.schur import anderson_trapp, certify, schur_analysis
 from linrel.subspace import Subspace
 
 REL_TOL = 1e-8
@@ -129,7 +129,7 @@ def test_scale_equivariance_on_a_proper_domain_at_large_norm(spec, c):
 @example(InstanceSpec(ambient_dim=7, s_dim=3, d1_dim=1, d2_dim=2, seed=6, spectrum_scale=1e-3))
 def test_every_certificate_holds_on_every_shape(spec):
     a, s = generate(spec)
-    res = schur_analysis(a, s)
+    res = certify(schur_analysis(a, s))
     assert set(res.diagnostics) == DIAGNOSTIC_KEYS
     worst = max(res.diagnostics, key=res.diagnostics.get)
     assert res.diagnostics[worst] <= a.tol.eq_abs, worst

@@ -69,10 +69,11 @@ def test_relations_proven_by_construction_are_not_revalidated(monkeypatch):
     nonneg.friedrichs(partial)
     assert calls == []
 
-    # only the two Gram products: the corners are read off the form, and
-    # the complement is the orthogonal sum of the far Gram product and zero
-    # on S
+    # none in schur_analysis: the corners are read off the form, and both
+    # results are closed forms; certify validates its two Gram products
     res = schur.schur_analysis(a, s)
+    assert calls == []
+    schur.certify(res)
     assert len(calls) == 2
     calls.clear()
     schur.maximality_probe(res, samples=10)
@@ -80,7 +81,7 @@ def test_relations_proven_by_construction_are_not_revalidated(monkeypatch):
 
 
 def test_verify_validates_five_relations_per_trial(monkeypatch):
-    # the two Gram products of schur_analysis, the general relation's Gram
+    # the two Gram products of certify, the general relation's Gram
     # product, and the two Gram products of the projection route
     calls = _count_validate(monkeypatch)
     trials = 3
@@ -163,7 +164,7 @@ def test_custom_tolerances_reach_every_rank_decision(monkeypatch):
     assert _patch_bindings(monkeypatch, kernel.rank_cutoff, "rank_cutoff", counting)
 
     for a, s in instances:
-        res = schur.schur_analysis(a, s)
+        res = schur.certify(schur.schur_analysis(a, s))
         schur.pekarev(res)
         schur.additive_decomposition(res)
     assert calls
@@ -174,6 +175,13 @@ def test_schur_analysis_work_budget(monkeypatch):
     # spectral norms go through the Gram eigenvalue route, and products
     # with a plain matrix never build the matrix's graph
     a, s = generate(InstanceSpec(ambient_dim=16, s_dim=8, d1_dim=6, d2_dim=6, seed=2))
+    validate_calls = _count_validate(monkeypatch)
+    gram_calls, compose_calls = [], []
+    gram = nonneg.gram_with_diagnostics
+    assert _patch_bindings(monkeypatch, gram, "gram_with_diagnostics",
+                           _counting(gram, gram_calls))
+    monkeypatch.setattr(LinearRelation, "compose",
+                        _counting(LinearRelation.compose, compose_calls))
     norm_calls, graph_calls = [], []
     counting_norm = _counting(np.linalg.norm, norm_calls)
     monkeypatch.setattr(np.linalg, "norm", counting_norm)
@@ -198,7 +206,11 @@ def test_schur_analysis_work_budget(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
 
-    schur.schur_analysis(a, s)
+    # the closed forms take no Gram product, so nothing to validate
+    res = schur.schur_analysis(a, s)
+    assert len(svd_inputs) <= 12
+    assert gram_calls == [] and validate_calls == [] and compose_calls == []
+    schur.certify(res)
     matrix_2norms = [args for args in norm_calls
                      if len(args) > 1 and args[1] == 2 and np.ndim(args[0]) == 2]
     assert matrix_2norms == []
@@ -209,9 +221,9 @@ def test_schur_analysis_work_budget(monkeypatch):
     # spanning sets independent by construction take a QR, and products
     # that are orthonormal by construction are used as they stand
     assert len(svd_inputs) <= 44
-    # both Gram products run in component coordinates: the row from dom(A)
-    # into S, the far factor inside S-perp, so no SVD in them is taller
-    # than the row's graph over dom(A) x dom(A)
+    # certify's Gram products run in component coordinates: the row from
+    # dom(A) into S, the far factor inside S-perp, so no SVD in them is
+    # taller than the row's graph over dom(A) x dom(A)
     assert gram_rows and max(gram_rows) <= 2 * a.dom.dim == 24
     by_construction = {"restrict", "ker", "compress_to", "_input_split"}
     assert [c & by_construction for c in orthonormal_callers if c & by_construction] == []
