@@ -18,16 +18,20 @@ on M2, and
 
 Its defect root Dg = (1 - g* g)^(1/2) on S-perp is the identity on M2.
 
-A is stored as its form (dom, A0), so the corners are read off it: each is
-its coordinate block of A0 over D1, D2 plus the mul slice on its output
-side, and the roots of a and d are those of their blocks.  The relation
-calculus only certifies them (:func:`assemble`, :func:`operator_block`).
-This module records the residuals of every identity it relies on.
+A is stored as its form (dom, A0), so :func:`analyze` computes: it reads
+A0's coordinate blocks over D1, D2, their roots, g and Dg off the form, and
+raises when D1 + D2 or M1 + M2 misses dom(A) or mul(A).  The corner
+relations, each its coordinate block of A0 plus the mul slice on its
+output side, are built on first use.  :func:`operator_block` certifies them
+by the relation calculus: against their definitions, and by the round-trip
+through :func:`assemble` back to A.  This module records the residuals of
+every identity it relies on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -47,12 +51,14 @@ class BlockRepresentation:
 
     Subspaces: ``s`` and its complement split the domain into ``d1, d2``, the
     multivalued part into ``m1, m2``.  Coordinate blocks ``a0, b0, c0, d0``
-    express A's operator part in the bases of ``d1`` and ``d2``; the corner
-    relations ``a, b, c, d`` are these blocks in the ambient space plus the
-    mul slice on their output side, and ``a_sqrt, d_sqrt, a0_sqrt, d0_sqrt``
-    come from the roots of ``a0`` and ``d0``.  The matrices ``v1, v2, g, dg``
-    are ambient-sized, supported on the component subspaces.  ``tol`` is the
-    relation's.
+    express A's operator part in the bases of ``d1`` and ``d2``, and
+    ``a0_root, d0_root`` are the roots of ``a0`` and ``d0`` there.  The
+    matrices ``v1, v2, g, dg`` are ambient-sized, supported on the component
+    subspaces.  ``tol`` is the relation's.
+
+    Built on first use: the ambient roots ``a0_sqrt, d0_sqrt``, the corner
+    relations ``a, b, c, d`` (the blocks in the ambient space plus the mul
+    slice on their output side) and their roots ``a_sqrt, d_sqrt``.
     """
 
     relation: NonnegSelfAdjointRelation
@@ -62,10 +68,6 @@ class BlockRepresentation:
     d2: Subspace
     m1: Subspace
     m2: Subspace
-    a: LinearRelation
-    b: LinearRelation
-    c: LinearRelation
-    d: LinearRelation
     a0: np.ndarray
     b0: np.ndarray
     c0: np.ndarray
@@ -74,15 +76,53 @@ class BlockRepresentation:
     v2: np.ndarray
     g: np.ndarray
     dg: np.ndarray
-    a_sqrt: LinearRelation
-    d_sqrt: LinearRelation
-    a0_sqrt: np.ndarray
-    d0_sqrt: np.ndarray
+    a0_root: np.ndarray
+    d0_root: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
     @property
     def tol(self) -> Tolerances:
         return self.relation.tol
+
+    def _corner(self, dom: Subspace, images: np.ndarray,
+                mul: Subspace) -> LinearRelation:
+        return LinearRelation.from_images_and_mul(dom, images, mul, tol=self.tol)
+
+    @cached_property
+    def a0_sqrt(self) -> np.ndarray:
+        b1 = self.d1.basis
+        return b1 @ self.a0_root @ b1.conj().T
+
+    @cached_property
+    def d0_sqrt(self) -> np.ndarray:
+        b2 = self.d2.basis
+        return b2 @ self.d0_root @ b2.conj().T
+
+    # a and d are principal compressions of a PSD form, so they and their
+    # roots are nonnegative selfadjoint by construction
+    @cached_property
+    def a(self) -> LinearRelation:
+        return self._corner(self.d1, self.d1.basis @ self.a0, self.m1)
+
+    @cached_property
+    def b(self) -> LinearRelation:
+        return self._corner(self.d2, self.d1.basis @ self.b0, self.m1)
+
+    @cached_property
+    def c(self) -> LinearRelation:
+        return self._corner(self.d1, self.d2.basis @ self.c0, self.m2)
+
+    @cached_property
+    def d(self) -> LinearRelation:
+        return self._corner(self.d2, self.d2.basis @ self.d0, self.m2)
+
+    @cached_property
+    def a_sqrt(self) -> LinearRelation:
+        return self._corner(self.d1, self.d1.basis @ self.a0_root, self.m1)
+
+    @cached_property
+    def d_sqrt(self) -> LinearRelation:
+        return self._corner(self.d2, self.d2.basis @ self.d0_root, self.m2)
 
 
 def _check_component(rel: LinearRelation, dom_space: Subspace, ran_space: Subspace,
@@ -161,10 +201,13 @@ def analyze(a_rel: NonnegSelfAdjointRelation, s: Subspace) -> BlockRepresentatio
 
     Requires the orthogonal projection onto ``s`` to leave dom(A) invariant;
     raises :class:`InvarianceViolatedError` with a witness vector otherwise.
-    The returned representation carries every derived object plus a
-    diagnostics dict of identity residuals; the corners, read off A's form,
-    are assembled and checked against A before returning.  Every rank
-    decision runs under ``a_rel.tol``.
+    Computes the coordinate blocks, their roots, g and Dg off A's form and
+    returns them with a diagnostics dict of identity residuals.  Raises
+    :class:`InternalInconsistencyError` when ``dom_split`` or ``mul_split``
+    exceeds ``eq_abs``: given the blocks, only a split that misses part of
+    dom(A) or mul(A) keeps the corners from regenerating A.  The corner
+    relations are built on first use; :func:`operator_block` certifies
+    them.  Every rank decision runs under ``a_rel.tol``.
     """
     big, tol = a_rel, a_rel.tol
     if s.ambient_dim != big.dim:
@@ -183,6 +226,12 @@ def analyze(a_rel: NonnegSelfAdjointRelation, s: Subspace) -> BlockRepresentatio
         "s_split": _orthogonal_sum(d1, m1, tol).gap(s),
         "s_perp_split": _orthogonal_sum(d2, m2, tol).gap(sp),
     }
+    split = max(("dom_split", "mul_split"), key=diagnostics.get)
+    if diagnostics[split] > tol.eq_abs:
+        raise InternalInconsistencyError(
+            f"block split '{split}' misses part of the relation "
+            f"(gap {diagnostics[split]:.3e})"
+        )
 
     op_amb = big.op_ambient
     b1, b2 = d1.basis, d2.basis
@@ -191,48 +240,27 @@ def analyze(a_rel: NonnegSelfAdjointRelation, s: Subspace) -> BlockRepresentatio
     c0 = b2.conj().T @ op_amb @ b1
     d0 = b2.conj().T @ op_amb @ b2
 
-    # a and d are principal compressions of a PSD form, so they and their
-    # roots are nonnegative selfadjoint by construction
-    def corner(dom, images, mul):
-        return LinearRelation.from_images_and_mul(dom, images, mul, tol=tol)
-
     # one eigendecomposition per diagonal block gives its root and the
     # partial isometry below
     a0_root, *a_eig = kernel._psd_root_and_eigh(a0, tol)
     d0_root, *d_eig = kernel._psd_root_and_eigh(d0, tol)
-    a_sqrt = corner(d1, b1 @ a0_root, m1)
-    d_sqrt = corner(d2, b2 @ d0_root, m2)
-    a0_sqrt = b1 @ a0_root @ b1.conj().T
-    d0_sqrt = b2 @ d0_root @ b2.conj().T
-
     root_amb = big.sqrt_ambient
     v1 = _partial_isometry(*a_eig, b1, root_amb)
     v2 = _partial_isometry(*d_eig, b2, root_amb)
-    diagnostics["v1_intertwines"] = kernel.opnorm((v1 @ a0_sqrt - root_amb) @ b1)
-    diagnostics["v2_intertwines"] = kernel.opnorm((v2 @ d0_sqrt - root_amb) @ b2)
 
     g = v1.conj().T @ v2
     gc = s.basis.conj().T @ g @ sp.basis
     dg_c = kernel.psd_sqrt(np.eye(sp.dim, dtype=np.complex128) - gc.conj().T @ gc, tol)
     dg = sp.basis @ dg_c @ sp.basis.conj().T
-    diagnostics["g_norm_excess"] = max(0.0, kernel.opnorm(g) - 1.0)
 
     rep = BlockRepresentation(
         relation=big, s=s, s_perp=sp, d1=d1, d2=d2, m1=m1, m2=m2,
-        a=corner(d1, b1 @ a0, m1), b=corner(d2, b1 @ b0, m1),
-        c=corner(d1, b2 @ c0, m2), d=corner(d2, b2 @ d0, m2),
         a0=a0, b0=b0, c0=c0, d0=d0, v1=v1, v2=v2, g=g, dg=dg,
-        a_sqrt=a_sqrt, d_sqrt=d_sqrt, a0_sqrt=a0_sqrt, d0_sqrt=d0_sqrt,
-        diagnostics=diagnostics,
+        a0_root=a0_root, d0_root=d0_root, diagnostics=diagnostics,
     )
-
-    assembled = assemble(rep.a, rep.b, rep.c, rep.d, s)
-    diagnostics["assemble_roundtrip"] = assembled.graph_gap(big.rel)
-    if diagnostics["assemble_roundtrip"] > tol.eq_abs:
-        raise InternalInconsistencyError(
-            f"block corners do not regenerate the relation "
-            f"(gap {diagnostics['assemble_roundtrip']:.3e})"
-        )
+    diagnostics["v1_intertwines"] = kernel.opnorm((v1 @ rep.a0_sqrt - root_amb) @ b1)
+    diagnostics["v2_intertwines"] = kernel.opnorm((v2 @ rep.d0_sqrt - root_amb) @ b2)
+    diagnostics["g_norm_excess"] = max(0.0, kernel.opnorm(g) - 1.0)
     return rep
 
 
@@ -251,16 +279,19 @@ def reconstruct_c(rep: BlockRepresentation) -> LinearRelation:
 def operator_block(rep: BlockRepresentation) -> tuple[np.ndarray, ...]:
     """Coordinate blocks of A's operator part, with the corners certified.
 
-    :func:`analyze` reads the corners off the form.  Here each is rebuilt by
-    its definition in the relation calculus, P_S A|_S, P_S A|_Sp, P_Sp A|_S
-    and P_Sp A|_Sp, and compared with the corner read off the form.  The
-    graph gaps are stored in the representation's diagnostics as
-    ``a_decomposed`` .. ``d_decomposed``; one above ``eq_abs`` raises
+    :func:`analyze` reads the blocks off the form, and the corners are built
+    from them.  Here the corners are assembled back into a relation and
+    compared with A (``assemble_roundtrip``), and each is rebuilt by its
+    definition in the relation calculus, P_S A|_S, P_S A|_Sp, P_Sp A|_S and
+    P_Sp A|_Sp, and compared with the corner read off the form
+    (``a_decomposed`` .. ``d_decomposed``).  The graph gaps are stored in the
+    representation's diagnostics; one above ``eq_abs`` raises
     :class:`InternalInconsistencyError`.  Returns (a0, b0, c0, d0).
     """
-    s, sp = rep.s, rep.s_perp
-    on_s, on_sp = rep.relation.rel.restrict(s), rep.relation.rel.restrict(sp)
+    s, sp, a_rel = rep.s, rep.s_perp, rep.relation.rel
+    on_s, on_sp = a_rel.restrict(s), a_rel.restrict(sp)
     gaps = {
+        "assemble_roundtrip": assemble(rep.a, rep.b, rep.c, rep.d, s).graph_gap(a_rel),
         "a_decomposed": on_s.map_output(s.projector).graph_gap(rep.a),
         "b_decomposed": on_sp.map_output(s.projector).graph_gap(rep.b),
         "c_decomposed": on_s.map_output(sp.projector).graph_gap(rep.c),

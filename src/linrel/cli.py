@@ -18,7 +18,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import serialize
-from .block import analyze
+from .block import analyze, operator_block
 from .errors import ConditionViolatedError, FormatError, LinRelError
 from .generator import InstanceSpec, generate
 from .kernel import Tolerances, opnorm
@@ -136,6 +136,7 @@ def _cmd_block(args, tol: Tolerances) -> int:
     a = _load_validated(args.relation, tol)
     s = _load_subspace(args.subspace, tol)
     rep = analyze(a, s)
+    operator_block(rep)
     obj = serialize.dump_block_representation(rep)
 
     def render():

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from linrel.block import analyze, factorize, reconstruct_b, reconstruct_c
+from linrel.block import analyze, factorize, operator_block, reconstruct_b, reconstruct_c
 from linrel.generator import random_psd, random_subspace, rng_for
 from linrel.kernel import DEFAULT_TOL, opnorm
 from linrel.nonneg import gram, gram_with_diagnostics, leq, validate
@@ -97,6 +97,7 @@ def test_criterion_4_block_suite(battery_analyses):
     worst_norm = 0.0
     splits_agree = True
     for _, a, s, rep, _ in battery_analyses:
+        operator_block(rep)
         worst_gap = max(
             worst_gap,
             rep.diagnostics["assemble_roundtrip"],

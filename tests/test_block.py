@@ -5,10 +5,12 @@ import pytest
 
 from linrel import block, kernel
 from linrel.block import analyze, assemble, factorize, operator_block, reconstruct_b, reconstruct_c
-from linrel.errors import ComponentMismatchError, InvarianceViolatedError
+from linrel.errors import ComponentMismatchError, InternalInconsistencyError, InvarianceViolatedError
+from linrel.generator import InstanceSpec, generate
 from linrel.kernel import Tolerances
 from linrel.nonneg import friedrichs, gram, validate
 from linrel.relation import LinearRelation, identity_relation, mul_only, zero_operator_on
+from linrel.schur import certify, schur_analysis
 from linrel.subspace import Subspace
 
 E1 = np.array([1.0, 0.0], dtype=complex)
@@ -16,6 +18,9 @@ E2 = np.array([0.0, 1.0], dtype=complex)
 SPAN_E1 = Subspace.span([E1], 2)
 SPAN_E2 = Subspace.span([E2], 2)
 SQ2 = np.sqrt(2.0)
+CORNERS = {"a", "b", "c", "d", "a_sqrt", "d_sqrt"}
+# proper domain and nontrivial multivalued part: every slice is nonzero
+SPLIT_SPEC = InstanceSpec(ambient_dim=6, s_dim=3, d1_dim=2, d2_dim=2, seed=1)
 
 
 def _op_on(domain, images):
@@ -173,11 +178,67 @@ def test_analyze_requires_invariance():
         analyze(tilted, SPAN_E1)
 
 
+def break_roundtrip(monkeypatch):
+    """Make :func:`assemble` return the orthogonal complement of its graph.
+
+    For a selfadjoint A that complement is the rotated graph J G(A), which
+    meets G(A) only in zero, so the round-trip gap reads 1.
+    """
+    real = block.assemble
+
+    def misassembled(*args):
+        rel = real(*args)
+        return LinearRelation(rel.dim_in, rel.dim_out, rel.graph.complement(), tol=rel.tol)
+
+    monkeypatch.setattr(block, "assemble", misassembled)
+
+
+def test_schur_analysis_builds_no_corner_relation(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the round-trip belongs to operator_block")
+
+    monkeypatch.setattr(block, "assemble", refuse)
+    res = schur_analysis(*generate(SPLIT_SPEC))
+    assert CORNERS & set(vars(res.rep)) == set()
+    # the Gram products of certify read the corner roots and nothing else
+    certify(res)
+    assert CORNERS & set(vars(res.rep)) == {"a_sqrt", "d_sqrt"}
+
+
+def test_operator_block_certifies_the_roundtrip(monkeypatch):
+    rep = analyze(*generate(SPLIT_SPEC))
+    operator_block(rep)
+    assert rep.diagnostics["assemble_roundtrip"] <= 1e-12
+    break_roundtrip(monkeypatch)
+    with pytest.raises(InternalInconsistencyError, match="assemble_roundtrip"):
+        operator_block(analyze(*generate(SPLIT_SPEC)))
+
+
+@pytest.mark.parametrize("side", ["dom", "mul"])
+def test_analyze_raises_on_a_split_that_misses_part_of_the_relation(monkeypatch, side):
+    # the S-perp slice of dom(A) or mul(A) loses a direction, so D1 + D2 or
+    # M1 + M2 no longer spans it and the corners could not regenerate A
+    a, s = generate(SPLIT_SPEC)
+    target = getattr(a, side)
+    real = Subspace.intersect
+
+    def lossy(self, other, tol=kernel.DEFAULT_TOL):
+        out = real(self, other, tol)
+        if self is not s and other is target:
+            return Subspace(out.ambient_dim, out.basis[:, 1:])
+        return out
+
+    monkeypatch.setattr(Subspace, "intersect", lossy)
+    with pytest.raises(InternalInconsistencyError):
+        analyze(a, s)
+
+
 def test_block_invariants_on_battery(battery_analyses):
     for _, a, s, rep, _ in battery_analyses[:30]:
-        assert rep.diagnostics["assemble_roundtrip"] < 1e-8
-        # the corners read off the form match their definitions
+        # the corners read off the form regenerate A and match their
+        # definitions
         operator_block(rep)
+        assert rep.diagnostics["assemble_roundtrip"] < 1e-8
         for name in "abcd":
             assert rep.diagnostics[f"{name}_decomposed"] <= 1e-8
         assert rep.diagnostics["g_norm_excess"] <= 1e-10

@@ -88,6 +88,23 @@ def test_shorted_matches_classical_formula():
     assert np.allclose(out[:2, :], 0.0, atol=1e-10)
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e9, 1e12])
+def test_shorted_matrix_is_scale_equivariant(scale):
+    # the formula runs at unit scale, so the absolute floor of the rank
+    # cutoffs cuts no spectrum of a small matrix
+    for seed in range(100):
+        a, s = generate(InstanceSpec(8, 4, 4, 4, seed=seed))
+        m = a.to_matrix()
+        want = scale * anderson_trapp(m, s)
+        assert opnorm(anderson_trapp(scale * m, s) - want) <= 1e-12 * scale * opnorm(m)
+
+
+def test_shorted_matrix_of_a_subnormal_matrix():
+    # 2^-k for the norm's exponent k would overflow; the formula still runs
+    out = anderson_trapp(1e-310 * _psd([[2.0, 1.0], [1.0, 1.0]]), SPAN_E1)
+    assert np.allclose(out, np.diag([0.0, 0.5e-310]), rtol=1e-9, atol=0.0)
+
+
 def test_shorted_rejects_indefinite():
     with pytest.raises(NotPsdError):
         anderson_trapp(_psd([[1.0, 2.0], [2.0, 1.0]]), SPAN_E1)

@@ -31,8 +31,7 @@ GAP_TOL = 1e-8
 DIAGNOSTIC_KEYS = {
     "far_gram_identities", "far_gram_alt_gap", "schur_ran_outside_far",
     "schur_below_defect", "row_mul_gap", "compression_gram_identities",
-    "compression_alt_gap", "compression_mul_gap", "compression_dom_defect",
-    "compression_below_defect", "l_projector_gap",
+    "compression_alt_gap", "compression_below_defect", "l_projector_gap",
 }
 
 decades = st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0 ** e)

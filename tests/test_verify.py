@@ -15,6 +15,8 @@ from linrel.relation import LinearRelation
 from linrel.subspace import Subspace
 from linrel.verify import run_verification
 
+from test_block import break_roundtrip
+
 
 def _counting(original, calls):
     def counting(*args, **kwargs):
@@ -36,6 +38,15 @@ def _patch_bindings(monkeypatch, original, name, replacement):
             monkeypatch.setattr(module, name, replacement)
             patched.append(modname)
     return patched
+
+
+def test_a_failed_roundtrip_fails_only_its_check(monkeypatch):
+    break_roundtrip(monkeypatch)
+    trials = 4
+    report = run_verification(seed=5, trials=trials, max_dim=4)
+    failed = {name: stat.failed for name, stat in report.checks.items() if stat.failed}
+    assert failed == {"block_roundtrip": trials}
+    assert all("assemble_roundtrip" in f["error"] for f in report.failures)
 
 
 def test_verify_analyzes_each_instance_once(monkeypatch):
