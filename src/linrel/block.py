@@ -18,14 +18,14 @@ on M2, and
 
 Its defect root Dg = (1 - g* g)^(1/2) on S-perp is the identity on M2.
 
-A is stored as its form (dom, A0), so :func:`analyze` computes: it reads
-A0's coordinate blocks over D1, D2, their roots, g and Dg off the form, and
-raises when D1 + D2 or M1 + M2 misses dom(A) or mul(A).  The corner
+A is stored as its form (dom, A0), so :func:`analyze` computes: D1 and D2
+are the slices :func:`require_invariant` reads off one eigendecomposition,
+M1 and M2 the parts of S and S-perp orthogonal to them, and A0's blocks
+over D1, D2, their roots, g and Dg are read off the form.  The corner
 relations, each its coordinate block of A0 plus the mul slice on its
-output side, are built on first use.  :func:`operator_block` certifies them
-by the relation calculus: against their definitions, and by the round-trip
-through :func:`assemble` back to A.  This module records the residuals of
-every identity it relies on.
+output side, are built on first use.  :func:`operator_block` certifies the
+split and the corners by the relation calculus.  This module records the
+residuals of every identity it relies on.
 """
 
 from __future__ import annotations
@@ -201,37 +201,22 @@ def analyze(a_rel: NonnegSelfAdjointRelation, s: Subspace) -> BlockRepresentatio
 
     Requires the orthogonal projection onto ``s`` to leave dom(A) invariant;
     raises :class:`InvarianceViolatedError` with a witness vector otherwise.
+    D1 and D2 are the slices :func:`require_invariant` returns, and M1, M2
+    the parts of S and S-perp orthogonal to them: complete QRs, so no rank
+    is decided and D1 + D2 = dom(A), M1 + M2 = mul(A) by construction.
     Computes the coordinate blocks, their roots, g and Dg off A's form and
-    returns them with a diagnostics dict of identity residuals.  Raises
-    :class:`InternalInconsistencyError` when ``dom_split`` or ``mul_split``
-    exceeds ``eq_abs``: given the blocks, only a split that misses part of
-    dom(A) or mul(A) keeps the corners from regenerating A.  The corner
-    relations are built on first use; :func:`operator_block` certifies
-    them.  Every rank decision runs under ``a_rel.tol``.
+    returns them with a diagnostics dict of identity residuals.  The corner
+    relations are built on first use; :func:`operator_block` certifies them
+    and the split.  Every rank decision runs under ``a_rel.tol``.
     """
     big, tol = a_rel, a_rel.tol
     if s.ambient_dim != big.dim:
         raise ComponentMismatchError("subspace must live in the relation's space")
-    invariance = require_invariant(big.dom, s, tol)
+    d1, d2 = require_invariant(big.dom, s, tol)
     sp = s.complement()
-
-    d1, d2 = invariance.slices
-    m1 = s.intersect(big.mul, tol)
-    m2 = sp.intersect(big.mul, tol)
-
-    # each pair lies in S and S-perp, or in dom(A) and its complement
-    diagnostics = {
-        "dom_split": invariance.residuals[1],
-        "mul_split": _orthogonal_sum(m1, m2, tol).gap(big.mul),
-        "s_split": _orthogonal_sum(d1, m1, tol).gap(s),
-        "s_perp_split": _orthogonal_sum(d2, m2, tol).gap(sp),
-    }
-    split = max(("dom_split", "mul_split"), key=diagnostics.get)
-    if diagnostics[split] > tol.eq_abs:
-        raise InternalInconsistencyError(
-            f"block split '{split}' misses part of the relation "
-            f"(gap {diagnostics[split]:.3e})"
-        )
+    # mul(A) = dom(A)-perp splits as dom(A) does
+    m1 = Subspace(big.dim, s.basis @ kernel.full_complement(s.basis.conj().T @ d1.basis))
+    m2 = Subspace(big.dim, sp.basis @ kernel.full_complement(sp.basis.conj().T @ d2.basis))
 
     op_amb = big.op_ambient
     b1, b2 = d1.basis, d2.basis
@@ -256,11 +241,11 @@ def analyze(a_rel: NonnegSelfAdjointRelation, s: Subspace) -> BlockRepresentatio
     rep = BlockRepresentation(
         relation=big, s=s, s_perp=sp, d1=d1, d2=d2, m1=m1, m2=m2,
         a0=a0, b0=b0, c0=c0, d0=d0, v1=v1, v2=v2, g=g, dg=dg,
-        a0_root=a0_root, d0_root=d0_root, diagnostics=diagnostics,
+        a0_root=a0_root, d0_root=d0_root,
     )
-    diagnostics["v1_intertwines"] = kernel.opnorm((v1 @ rep.a0_sqrt - root_amb) @ b1)
-    diagnostics["v2_intertwines"] = kernel.opnorm((v2 @ rep.d0_sqrt - root_amb) @ b2)
-    diagnostics["g_norm_excess"] = max(0.0, kernel.opnorm(g) - 1.0)
+    rep.diagnostics["v1_intertwines"] = kernel.opnorm((v1 @ rep.a0_sqrt - root_amb) @ b1)
+    rep.diagnostics["v2_intertwines"] = kernel.opnorm((v2 @ rep.d0_sqrt - root_amb) @ b2)
+    rep.diagnostics["g_norm_excess"] = max(0.0, kernel.opnorm(g) - 1.0)
     return rep
 
 
@@ -277,20 +262,27 @@ def reconstruct_c(rep: BlockRepresentation) -> LinearRelation:
 
 
 def operator_block(rep: BlockRepresentation) -> tuple[np.ndarray, ...]:
-    """Coordinate blocks of A's operator part, with the corners certified.
+    """Coordinate blocks of A's operator part, with the split and corners certified.
 
-    :func:`analyze` reads the blocks off the form, and the corners are built
-    from them.  Here the corners are assembled back into a relation and
-    compared with A (``assemble_roundtrip``), and each is rebuilt by its
-    definition in the relation calculus, P_S A|_S, P_S A|_Sp, P_Sp A|_S and
-    P_Sp A|_Sp, and compared with the corner read off the form
-    (``a_decomposed`` .. ``d_decomposed``).  The graph gaps are stored in the
-    representation's diagnostics; one above ``eq_abs`` raises
+    The slices of :func:`analyze` are compared with what they split: D1 + D2
+    with dom(A) (``dom_split``), M1 + M2 with mul(A) (``mul_split``),
+    D1 + M1 with S (``s_split``) and D2 + M2 with S-perp (``s_perp_split``).
+    The corners are assembled back into a relation and compared with A
+    (``assemble_roundtrip``), and each is rebuilt by its definition P_S A|_S,
+    .., P_Sp A|_Sp in the relation calculus and compared with the corner
+    read off the form (``a_decomposed`` .. ``d_decomposed``).  The gaps are
+    stored in the representation's diagnostics; one above ``eq_abs`` raises
     :class:`InternalInconsistencyError`.  Returns (a0, b0, c0, d0).
     """
-    s, sp, a_rel = rep.s, rep.s_perp, rep.relation.rel
+    s, sp, big, tol = rep.s, rep.s_perp, rep.relation, rep.tol
+    a_rel = big.rel
     on_s, on_sp = a_rel.restrict(s), a_rel.restrict(sp)
+    # each pair lies in S and S-perp, or in dom(A) and its complement
     gaps = {
+        "dom_split": _orthogonal_sum(rep.d1, rep.d2, tol).gap(big.dom),
+        "mul_split": _orthogonal_sum(rep.m1, rep.m2, tol).gap(big.mul),
+        "s_split": _orthogonal_sum(rep.d1, rep.m1, tol).gap(s),
+        "s_perp_split": _orthogonal_sum(rep.d2, rep.m2, tol).gap(sp),
         "assemble_roundtrip": assemble(rep.a, rep.b, rep.c, rep.d, s).graph_gap(a_rel),
         "a_decomposed": on_s.map_output(s.projector).graph_gap(rep.a),
         "b_decomposed": on_sp.map_output(s.projector).graph_gap(rep.b),
@@ -299,9 +291,9 @@ def operator_block(rep: BlockRepresentation) -> tuple[np.ndarray, ...]:
     }
     rep.diagnostics.update(gaps)
     name = max(gaps, key=gaps.get)
-    if gaps[name] > rep.tol.eq_abs:
+    if gaps[name] > tol.eq_abs:
         raise InternalInconsistencyError(
-            f"corner decomposition '{name}' gap {gaps[name]:.3e} exceeds tolerance"
+            f"block decomposition '{name}' gap {gaps[name]:.3e} exceeds tolerance"
         )
     return rep.a0, rep.b0, rep.c0, rep.d0
 

@@ -23,6 +23,10 @@ Which factorization an operation takes depends on whether a rank can drop:
 * nothing for products that are already orthonormal, such as an orthonormal
   basis times an orthonormal kernel basis: callers use them as they stand.
 
+Nor is the split of a subspace that P_S leaves invariant into its slices
+in S and S-perp (:func:`linrel.subspace.require_invariant`) a rank
+decision: one ``eigh`` whose eigenvalues sit near 0 or 1, cut at 1/2.
+
 Spectral norms come from the largest eigenvalue of the smaller Gram matrix
 (``eigvalsh``), which gives the exact 2-norm without computing singular
 vectors.  A check that only compares a norm against a bound asks

@@ -124,10 +124,9 @@ def schur_analysis(a_rel: NonnegSelfAdjointRelation, s: Subspace) -> SchurResult
 
     Raises :class:`InvarianceViolatedError` when dom(A) is not invariant
     under the projection onto S, :class:`ComponentMismatchError` when ``s``
-    lives in another space, and :class:`InternalInconsistencyError` when
-    the block analysis splits off less than dom(A) or mul(A), or a result
-    is not dominated by A.  Every rank decision runs under ``a_rel.tol``,
-    and both results carry it.
+    lives in another space, and :class:`InternalInconsistencyError` when a
+    result is not dominated by A.  Every rank decision runs under
+    ``a_rel.tol``, and both results carry it.
     """
     tol = a_rel.tol
     rep = analyze(a_rel, s)
@@ -197,9 +196,11 @@ def certify(res: SchurResult) -> SchurResult:
     s_h, sp_h = s.basis.conj().T, sp.basis.conj().T
     diag = res.diagnostics
 
-    # the roots of the diagonal corners in S and S-perp coordinates
-    a_sqrt_c = rep.a_sqrt.compress_to(s, s)
-    d_sqrt_c = rep.d_sqrt.compress_to(sp, sp)
+    # the slices and the roots of the diagonal corners in S and S-perp coordinates
+    d1_c, m1_c = (Subspace(s.dim, s_h @ x.basis) for x in (rep.d1, rep.m1))
+    d2_c, m2_c = (Subspace(sp.dim, sp_h @ x.basis) for x in (rep.d2, rep.m2))
+    a_sqrt_c = LinearRelation.from_images_and_mul(d1_c, d1_c.basis @ rep.a0_root, m1_c, tol=tol)
+    d_sqrt_c = LinearRelation.from_images_and_mul(d2_c, d2_c.basis @ rep.d0_root, m2_c, tol=tol)
 
     # far block: T = Dg d^{1/2} and T* T, in S-perp coordinates
     t_c = d_sqrt_c.map_output(sp_h @ rep.dg @ sp.basis)
@@ -213,9 +214,7 @@ def certify(res: SchurResult) -> SchurResult:
 
     # the returned complement on D2, with M2 as its multivalued part
     far = LinearRelation.from_images_and_mul(
-        Subspace(sp.dim, sp_h @ rep.d2.basis),
-        sp_h @ res.schur.op_ambient @ rep.d2.basis,
-        Subspace(sp.dim, sp_h @ rep.m2.basis), tol=tol)
+        d2_c, sp_h @ res.schur.op_ambient @ rep.d2.basis, m2_c, tol=tol)
     diag["far_gram_alt_gap"] = float(tt_c.rel.graph_gap(far))
 
     # compression: Gram product of the row a^{1/2} P_S + g d^{1/2} P_{S-perp}
@@ -223,7 +222,7 @@ def certify(res: SchurResult) -> SchurResult:
     r1 = a_sqrt_c.pull_input(s_h @ u)
     r2 = d_sqrt_c.map_output(s_h @ rep.g @ sp.basis).pull_input(sp_h @ u)
     row = r1.add(r2)
-    diag["row_mul_gap"] = float(row.mul.gap(Subspace(s.dim, s_h @ rep.m1.basis)))
+    diag["row_mul_gap"] = float(row.mul.gap(m1_c))
     comp_c, comp_diag = gram_with_diagnostics(row)
     worst_row = max(comp_diag.values()) if comp_diag else 0.0
     diag["compression_gram_identities"] = float(worst_row)

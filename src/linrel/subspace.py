@@ -3,7 +3,8 @@
 A :class:`Subspace` is immutable and stores an orthonormal basis; two
 subspaces are compared by the operator-norm gap between their orthogonal
 projectors.  Sum and intersection reduce to the kernel's rank decisions; the
-complement is exact.
+complement is exact, and so is the split of a subspace that P_S leaves
+invariant into its slices in S and S-perp (:func:`require_invariant`).
 """
 
 from __future__ import annotations
@@ -194,8 +195,7 @@ class InvarianceReport:
     2. ``splits``: M = (S meet M) + (S-perp meet M) as an orthogonal sum;
     3. ``projection_matches``: span(P_S(M)) equals S meet M.
 
-    ``residuals`` records the numerical defect of each condition, and
-    ``slices`` the two slices (S meet M, S-perp meet M) of condition 2.
+    ``residuals`` records the numerical defect of each condition.
     """
 
     projects_into: bool
@@ -203,7 +203,6 @@ class InvarianceReport:
     projection_matches: bool
     residuals: tuple[float, float, float]
     witness: np.ndarray | None
-    slices: tuple[Subspace, Subspace]
 
     @property
     def invariant(self) -> bool:
@@ -217,26 +216,33 @@ class InvarianceReport:
         return self.invariant
 
 
+def _projection_escape(m: Subspace, s: Subspace, tol: Tolerances):
+    """Condition 1: ``(h, r1, witness)`` with h = M* P_S M and r1 = ||(1 - P_M) P_S M||.
+
+    With C = S* M on the bases, (1 - P_M) P_S M = S C - M h for h = C* C.
+    """
+    m._check_ambient(s)
+    c = s.basis.conj().T @ m.basis
+    h = c.conj().T @ c
+    resid_mat = s.basis @ c - m.basis @ h
+    r1 = kernel.opnorm(resid_mat)
+    witness = None
+    if r1 > tol.eq_abs and m.dim > 0:
+        worst = int(np.argmax(np.linalg.norm(resid_mat, axis=0)))
+        witness = m.basis[:, worst].copy()
+    return h, r1, witness
+
+
 def invariance_report(m: Subspace, s: Subspace, tol: Tolerances = DEFAULT_TOL) -> InvarianceReport:
     """Check whether P_S maps the subspace ``m`` into itself.
 
     Evaluates all three equivalent formulations and reports them separately;
     disagreement between them flags borderline rank decisions.
     """
-    m._check_ambient(s)
-    s_perp = s.complement()
-
-    # condition 1: columns of P_S @ basis(M) stay inside M
-    projected = s.projector @ m.basis
-    resid_mat = projected - m.projector @ projected
-    r1 = kernel.opnorm(resid_mat)
-    witness = None
-    if r1 > tol.eq_abs and m.dim > 0:
-        worst = int(np.argmax(np.linalg.norm(resid_mat, axis=0)))
-        witness = m.basis[:, worst].copy()
+    _, r1, witness = _projection_escape(m, s, tol)
 
     sm = s.intersect(m, tol)
-    spm = s_perp.intersect(m, tol)
+    spm = s.complement().intersect(m, tol)
 
     # condition 2: the two slices, orthogonal as they lie in S and S-perp,
     # recombine to all of M
@@ -245,6 +251,7 @@ def invariance_report(m: Subspace, s: Subspace, tol: Tolerances = DEFAULT_TOL) -
     splits = r2 <= tol.eq_abs and sm.dim + spm.dim == m.dim
 
     # condition 3: span of the projected basis equals the slice S meet M
+    projected = s.projector @ m.basis
     proj_span = Subspace(s.ambient_dim, kernel.orthonormal_columns(projected, tol))
     r3 = proj_span.gap(sm)
 
@@ -254,16 +261,23 @@ def invariance_report(m: Subspace, s: Subspace, tol: Tolerances = DEFAULT_TOL) -
         projection_matches=r3 <= tol.eq_abs,
         residuals=(r1, r2, r3),
         witness=witness,
-        slices=(sm, spm),
     )
 
 
-def require_invariant(m: Subspace, s: Subspace, tol: Tolerances = DEFAULT_TOL) -> InvarianceReport:
-    """Like :func:`invariance_report` but raises when the projection escapes."""
-    report = invariance_report(m, s, tol)
-    if not report.invariant:
+def require_invariant(m: Subspace, s: Subspace, tol: Tolerances = DEFAULT_TOL):
+    """The slices (M meet S, M meet S-perp) of a subspace that P_S maps into itself.
+
+    Raises :class:`InvarianceViolatedError` with a witness when condition 1
+    of :func:`invariance_report` fails.  Otherwise h = M* P_S M has
+    ||h - h^2|| = r1^2, so each eigenvalue lies within about r1^2 of 0 or
+    1, and one ``eigh`` of h cut at 1/2 splits M with no rank cutoff: M
+    times the eigenvectors above 1/2, and M times the rest.
+    """
+    h, r1, witness = _projection_escape(m, s, tol)
+    if r1 > tol.eq_abs:
         raise InvarianceViolatedError(
-            f"projection leaves the subspace (defect {report.residuals[0]:.3e})",
-            witness=report.witness,
-        )
-    return report
+            f"projection leaves the subspace (defect {r1:.3e})", witness=witness)
+    w, v = np.linalg.eigh(h)
+    near = w > 0.5
+    return (Subspace(m.ambient_dim, m.basis @ v[:, near]),
+            Subspace(m.ambient_dim, m.basis @ v[:, ~near]))

@@ -1,5 +1,7 @@
 """Block decomposition along an invariant subspace and its reassembly."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -200,9 +202,10 @@ def test_schur_analysis_builds_no_corner_relation(monkeypatch):
     monkeypatch.setattr(block, "assemble", refuse)
     res = schur_analysis(*generate(SPLIT_SPEC))
     assert CORNERS & set(vars(res.rep)) == set()
-    # the Gram products of certify read the corner roots and nothing else
+    # the Gram products of certify build the corner roots in S and S-perp
+    # coordinates, not as ambient relations
     certify(res)
-    assert CORNERS & set(vars(res.rep)) == {"a_sqrt", "d_sqrt"}
+    assert CORNERS & set(vars(res.rep)) == set()
 
 
 def test_operator_block_certifies_the_roundtrip(monkeypatch):
@@ -214,23 +217,30 @@ def test_operator_block_certifies_the_roundtrip(monkeypatch):
         operator_block(analyze(*generate(SPLIT_SPEC)))
 
 
+def _drop_first_column(x):
+    return Subspace(x.ambient_dim, x.basis[:, 1:])
+
+
 @pytest.mark.parametrize("side", ["dom", "mul"])
 def test_analyze_raises_on_a_split_that_misses_part_of_the_relation(monkeypatch, side):
-    # the S-perp slice of dom(A) or mul(A) loses a direction, so D1 + D2 or
-    # M1 + M2 no longer spans it and the corners could not regenerate A
+    # analyze's S-perp slice of dom(A) or mul(A) loses a direction, so
+    # D1 + D2 or M1 + M2 no longer spans it and the corners could not
+    # regenerate A; operator_block names the split that misses it
     a, s = generate(SPLIT_SPEC)
-    target = getattr(a, side)
-    real = Subspace.intersect
+    if side == "dom":
+        real = block.require_invariant
 
-    def lossy(self, other, tol=kernel.DEFAULT_TOL):
-        out = real(self, other, tol)
-        if self is not s and other is target:
-            return Subspace(out.ambient_dim, out.basis[:, 1:])
-        return out
+        def lossy(m, s_arg, tol):
+            d1, d2 = real(m, s_arg, tol)
+            return d1, _drop_first_column(d2)
 
-    monkeypatch.setattr(Subspace, "intersect", lossy)
-    with pytest.raises(InternalInconsistencyError):
-        analyze(a, s)
+        monkeypatch.setattr(block, "require_invariant", lossy)
+        rep = analyze(a, s)
+    else:
+        rep = analyze(a, s)
+        rep = replace(rep, m2=_drop_first_column(rep.m2))
+    with pytest.raises(InternalInconsistencyError, match=f"{side}_split"):
+        operator_block(rep)
 
 
 def test_block_invariants_on_battery(battery_analyses):
@@ -242,8 +252,12 @@ def test_block_invariants_on_battery(battery_analyses):
         for name in "abcd":
             assert rep.diagnostics[f"{name}_decomposed"] <= 1e-8
         assert rep.diagnostics["g_norm_excess"] <= 1e-10
-        # D1 is the domain slice inside S and mul is projection invariant
+        # the slices of dom(A) and mul(A) are those the rank decisions of
+        # Subspace.intersect find, and mul is projection invariant
         assert rep.d1.equals(s.intersect(a.dom))
+        assert rep.d2.equals(rep.s_perp.intersect(a.dom))
+        assert rep.m1.equals(s.intersect(a.mul))
+        assert rep.m2.equals(rep.s_perp.intersect(a.mul))
         assert a.mul.contains(a.mul.apply(s.projector))
         # the c corner is the component adjoint of the b corner
         assert rep.b.adjoint_between(rep.s_perp, rep.s).includes(rep.c)

@@ -18,8 +18,8 @@ from linrel.errors import (
     NotSelfAdjointError,
 )
 from linrel.generator import InstanceSpec, generate
-from linrel.kernel import opnorm
-from linrel.nonneg import leq, validate
+from linrel.kernel import DEFAULT_TOL, opnorm
+from linrel.nonneg import NonnegSelfAdjointRelation, leq, validate
 from linrel.relation import LinearRelation, identity_relation, mul_only, zero_operator_on
 from linrel.schur import (
     additive_decomposition,
@@ -326,10 +326,11 @@ def test_far_gram_alt_gap_sees_a_defect_root_the_complement_did_not_use():
     assert certify(res).diagnostics["far_gram_alt_gap"] <= 1e-12
 
 
+# seeds on which certify still raises, so the pinned defect stays in view
 @pytest.mark.parametrize("seed, scale, error", [
-    (16, 1e7, InternalInconsistencyError),
+    (23, 1e7, InternalInconsistencyError),
     (0, 1e8, InternalInconsistencyError),
-    (1, 1e8, NotSelfAdjointError),
+    (5, 1e8, NotSelfAdjointError),
 ])
 def test_closed_forms_hold_where_the_gram_products_give_out(seed, scale, error):
     """At spectrum scale 1e7 and 1e8 the Gram products fail to validate.
@@ -350,3 +351,25 @@ def test_closed_forms_hold_where_the_gram_products_give_out(seed, scale, error):
         assert got.dom.gap(want.dom) <= 1e-12
     with pytest.raises(error):
         certify(res)
+
+
+def _tilted_line(theta):
+    """A0 = [[2]] on span(cos(theta) e1 + sin(theta) e3), with S = span(e1, e2)."""
+    e = np.eye(3, dtype=complex)
+    dom = Subspace(3, np.cos(theta) * e[:, :1] + np.sin(theta) * e[:, 2:])
+    return (NonnegSelfAdjointRelation(dom, np.array([[2.0]], dtype=complex), DEFAULT_TOL),
+            Subspace(3, e[:, :2]))
+
+
+def test_a_domain_tilted_within_eq_abs_splits_as_it_was_accepted():
+    # the invariance residual is about theta, within eq_abs, so the check
+    # accepts the domain, and the block analysis splits it as it stands:
+    # D1 is all of it, D2 is zero
+    a, s = _tilted_line(1e-9)
+    res = certify(schur_analysis(a, s))
+    assert (res.rep.d1.dim, res.rep.d2.dim) == (1, 0)
+    flat = schur_analysis(*_tilted_line(0.0))
+    for name in ("schur", "compression"):
+        got, want = getattr(res, name), getattr(flat, name)
+        assert opnorm(got.op_ambient - want.op_ambient) <= 1e-8
+        assert got.dom.gap(want.dom) <= 1e-8

@@ -140,13 +140,21 @@ def test_verify_computes_projected_root_image_defect_once(monkeypatch):
 def test_analyze_reuses_the_invariance_slices(monkeypatch):
     # proper domain and nontrivial multivalued part: every slice is nonzero
     a, s = generate(InstanceSpec(ambient_dim=6, s_dim=3, d1_dim=2, d2_dim=2, seed=1))
-    calls = []
+    calls, svd_callers = [], []
     monkeypatch.setattr(Subspace, "intersect", _counting(Subspace.intersect, calls))
+    original_svd = np.linalg.svd
 
+    def recording_svd(*args, **kwargs):
+        svd_callers.append(sys._getframe(1).f_code.co_name)
+        return original_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
     rep = block.analyze(a, s)
-    # S and S-perp against dom(A) inside the invariance check, then mul(A)
-    assert len(calls) == 4
-    assert (rep.d1.dim, rep.d2.dim) == (2, 2)
+    # the invariance check's eigendecomposition splits dom(A), and mul(A)
+    # splits with it: no intersection, no rank decision
+    assert calls == []
+    assert svd_callers == ["nearest_isometry"] * 2
+    assert (rep.d1.dim, rep.d2.dim, rep.m1.dim, rep.m2.dim) == (2, 2, 1, 1)
 
 
 def test_complement_of_s_is_taken_once(monkeypatch):
@@ -219,7 +227,7 @@ def test_schur_analysis_work_budget(monkeypatch):
 
     # the closed forms take no Gram product, so nothing to validate
     res = schur.schur_analysis(a, s)
-    assert len(svd_inputs) <= 12
+    assert len(svd_inputs) <= 4
     assert gram_calls == [] and validate_calls == [] and compose_calls == []
     schur.certify(res)
     matrix_2norms = [args for args in norm_calls
@@ -231,7 +239,7 @@ def test_schur_analysis_work_budget(monkeypatch):
     assert len(set(svd_inputs)) == len(svd_inputs)
     # spanning sets independent by construction take a QR, and products
     # that are orthonormal by construction are used as they stand
-    assert len(svd_inputs) <= 44
+    assert len(svd_inputs) <= 36
     # certify's Gram products run in component coordinates: the row from
     # dom(A) into S, the far factor inside S-perp, so no SVD in them is
     # taller than the row's graph over dom(A) x dom(A)
