@@ -20,12 +20,12 @@ Its defect root Dg = (1 - g* g)^(1/2) on S-perp is the identity on M2.
 
 A is stored as its form (dom, A0), so :func:`analyze` computes: D1 and D2
 are the slices :func:`require_invariant` reads off one eigendecomposition,
-M1 and M2 the parts of S and S-perp orthogonal to them, and A0's blocks
-over D1, D2, their roots, g and Dg are read off the form.  The corner
-relations, each its coordinate block of A0 plus the mul slice on its
-output side, are built on first use.  :func:`operator_block` certifies the
-split and the corners by the relation calculus.  This module records the
-residuals of every identity it relies on.
+M1 and M2 the parts of S and S-perp orthogonal to them, and A0's blocks,
+their roots, V1, V2, g and Dg are matrices over dom(A), D1 and D2, never
+n x n.  The ambient V1, V2, g, Dg and the corner relations, each its block
+of A0 plus the mul slice on its output side, are built on first use.
+:func:`operator_block` certifies the split and the corners by the relation
+calculus.  This module records the residuals of every identity it relies on.
 """
 
 from __future__ import annotations
@@ -50,15 +50,18 @@ class BlockRepresentation:
     """All structure extracted from one (relation, subspace) pair.
 
     Subspaces: ``s`` and its complement split the domain into ``d1, d2``, the
-    multivalued part into ``m1, m2``.  Coordinate blocks ``a0, b0, c0, d0``
-    express A's operator part in the bases of ``d1`` and ``d2``, and
-    ``a0_root, d0_root`` are the roots of ``a0`` and ``d0`` there.  The
-    matrices ``v1, v2, g, dg`` are ambient-sized, supported on the component
-    subspaces.  ``tol`` is the relation's.
+    multivalued part into ``m1, m2``; ``e1, e2`` are the bases of ``d1, d2``
+    in the coordinates of A's domain basis U.  Coordinate blocks
+    ``a0, b0, c0, d0`` = Ei* A0 Ej express A's operator part over ``d1`` and
+    ``d2``, and ``a0_root, d0_root`` are the roots of ``a0`` and ``d0``
+    there.  V1 = U ``p1`` (D1 ``q1``)*, with ``q1`` spanning its initial
+    space in D1 coordinates, and V2 likewise; ``g_c`` is g = V1* V2 on
+    D1 x D2 and ``dg_c`` is Dg on D2 (1 on M2).  ``tol`` is the relation's.
 
-    Built on first use: the ambient roots ``a0_sqrt, d0_sqrt``, the corner
-    relations ``a, b, c, d`` (the blocks in the ambient space plus the mul
-    slice on their output side) and their roots ``a_sqrt, d_sqrt``.
+    Built on first use: the ambient matrices ``v1, v2, g, dg``, the ambient
+    roots ``a0_sqrt, d0_sqrt``, the corner relations ``a, b, c, d`` (the
+    blocks in the ambient space plus the mul slice on their output side) and
+    their roots ``a_sqrt, d_sqrt``.
     """
 
     relation: NonnegSelfAdjointRelation
@@ -68,16 +71,20 @@ class BlockRepresentation:
     d2: Subspace
     m1: Subspace
     m2: Subspace
+    e1: np.ndarray
+    e2: np.ndarray
     a0: np.ndarray
     b0: np.ndarray
     c0: np.ndarray
     d0: np.ndarray
-    v1: np.ndarray
-    v2: np.ndarray
-    g: np.ndarray
-    dg: np.ndarray
     a0_root: np.ndarray
     d0_root: np.ndarray
+    p1: np.ndarray
+    q1: np.ndarray
+    p2: np.ndarray
+    q2: np.ndarray
+    g_c: np.ndarray
+    dg_c: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -89,14 +96,28 @@ class BlockRepresentation:
         return LinearRelation.from_images_and_mul(dom, images, mul, tol=self.tol)
 
     @cached_property
+    def v1(self) -> np.ndarray:
+        return self.relation.dom.basis @ self.p1 @ (self.d1.basis @ self.q1).conj().T
+
+    @cached_property
+    def v2(self) -> np.ndarray:
+        return self.relation.dom.basis @ self.p2 @ (self.d2.basis @ self.q2).conj().T
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        return self.d1.basis @ self.g_c @ self.d2.basis.conj().T
+
+    @cached_property
+    def dg(self) -> np.ndarray:
+        return self.d2.basis @ self.dg_c @ self.d2.basis.conj().T + self.m2.projector
+
+    @cached_property
     def a0_sqrt(self) -> np.ndarray:
-        b1 = self.d1.basis
-        return b1 @ self.a0_root @ b1.conj().T
+        return self.d1.basis @ self.a0_root @ self.d1.basis.conj().T
 
     @cached_property
     def d0_sqrt(self) -> np.ndarray:
-        b2 = self.d2.basis
-        return b2 @ self.d0_root @ b2.conj().T
+        return self.d2.basis @ self.d0_root @ self.d2.basis.conj().T
 
     # a and d are principal compressions of a PSD form, so they and their
     # roots are nonnegative selfadjoint by construction
@@ -175,25 +196,21 @@ def assemble(a: LinearRelation, b: LinearRelation, c: LinearRelation,
     return LinearRelation(n, n, Subspace(2 * n, basis), tol=tol)
 
 
-def _partial_isometry(w: np.ndarray, q: np.ndarray, frame: np.ndarray,
-                      root_ambient: np.ndarray) -> np.ndarray:
-    """Partial isometry sending (corner root) h to (A root) h on the frame.
+def _partial_isometry(w: np.ndarray, q: np.ndarray, e: np.ndarray,
+                      root: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Partial isometry sending (corner root) h to (A root) h, as ``(p, q)``.
 
-    ``w, q`` are the eigenpairs of the compressed PSD corner block in the
-    ``frame`` coordinates, cut as the corner root cuts them, so the
-    eigenvectors with nonzero eigenvalue span the root's initial space;
-    their images under the ambient root, scaled back by the root
-    eigenvalues, are orthonormal in exact arithmetic.  A polar correction
-    restores exact isometry, which keeps downstream contractions at norm
-    <= 1 even for ill-conditioned corners.
+    ``w, q`` are the eigenpairs of the corner block, cut as its root cuts
+    them, so the returned ``q`` (eigenvalue nonzero) spans the initial space.
+    ``e`` (the slice's basis) and ``root`` (A0's) are in dom(A) coordinates.
+    The images ``root e q``, scaled back by the root eigenvalues, are
+    orthonormal in exact arithmetic; their polar factor ``p`` restores exact
+    isometry, which keeps contractions at norm <= 1 for ill-conditioned
+    corners.
     """
-    n = root_ambient.shape[0]
     keep = w > 0.0
-    if not np.any(keep):
-        return np.zeros((n, n), dtype=np.complex128)
-    initial = frame @ q[:, keep]
-    images = (root_ambient @ initial) / np.sqrt(w[keep])
-    return kernel.nearest_isometry(images) @ initial.conj().T
+    q = q[:, keep]
+    return kernel.nearest_isometry(root @ e @ q / np.sqrt(w[keep])), q
 
 
 def analyze(a_rel: NonnegSelfAdjointRelation, s: Subspace) -> BlockRepresentation:
@@ -204,10 +221,10 @@ def analyze(a_rel: NonnegSelfAdjointRelation, s: Subspace) -> BlockRepresentatio
     D1 and D2 are the slices :func:`require_invariant` returns, and M1, M2
     the parts of S and S-perp orthogonal to them: complete QRs, so no rank
     is decided and D1 + D2 = dom(A), M1 + M2 = mul(A) by construction.
-    Computes the coordinate blocks, their roots, g and Dg off A's form and
-    returns them with a diagnostics dict of identity residuals.  The corner
-    relations are built on first use; :func:`operator_block` certifies them
-    and the split.  Every rank decision runs under ``a_rel.tol``.
+    Computes the blocks, their roots, V1, V2, g and Dg over dom(A), D1 and
+    D2 off A's form and A0's root, with a diagnostics dict of identity
+    residuals, and forms no n x n matrix.  :func:`operator_block` certifies
+    the corners and the split.  Every rank decision runs under ``a_rel.tol``.
     """
     big, tol = a_rel, a_rel.tol
     if s.ambient_dim != big.dim:
@@ -218,34 +235,32 @@ def analyze(a_rel: NonnegSelfAdjointRelation, s: Subspace) -> BlockRepresentatio
     m1 = Subspace(big.dim, s.basis @ kernel.full_complement(s.basis.conj().T @ d1.basis))
     m2 = Subspace(big.dim, sp.basis @ kernel.full_complement(sp.basis.conj().T @ d2.basis))
 
-    op_amb = big.op_ambient
-    b1, b2 = d1.basis, d2.basis
-    a0 = b1.conj().T @ op_amb @ b1
-    b0 = b1.conj().T @ op_amb @ b2
-    c0 = b2.conj().T @ op_amb @ b1
-    d0 = b2.conj().T @ op_amb @ b2
+    u_h, op = big.dom.basis.conj().T, big.op_compressed
+    e1, e2 = u_h @ d1.basis, u_h @ d2.basis
+    a0, b0, c0, d0 = (x.conj().T @ op @ y for x, y in
+                      ((e1, e1), (e1, e2), (e2, e1), (e2, e2)))
 
     # one eigendecomposition per diagonal block gives its root and the
     # partial isometry below
     a0_root, *a_eig = kernel._psd_root_and_eigh(a0, tol)
     d0_root, *d_eig = kernel._psd_root_and_eigh(d0, tol)
-    root_amb = big.sqrt_ambient
-    v1 = _partial_isometry(*a_eig, b1, root_amb)
-    v2 = _partial_isometry(*d_eig, b2, root_amb)
+    root = big.sqrt().op_compressed
+    p1, q1 = _partial_isometry(*a_eig, e1, root)
+    p2, q2 = _partial_isometry(*d_eig, e2, root)
 
-    g = v1.conj().T @ v2
-    gc = s.basis.conj().T @ g @ sp.basis
-    dg_c = kernel.psd_sqrt(np.eye(sp.dim, dtype=np.complex128) - gc.conj().T @ gc, tol)
-    dg = sp.basis @ dg_c @ sp.basis.conj().T
+    # g = V1* V2 on D1 x D2; it vanishes on M2, where Dg is the identity
+    g_c = q1 @ (p1.conj().T @ p2) @ q2.conj().T
+    dg_c = kernel.psd_sqrt(np.eye(d2.dim, dtype=np.complex128) - g_c.conj().T @ g_c, tol)
 
     rep = BlockRepresentation(
-        relation=big, s=s, s_perp=sp, d1=d1, d2=d2, m1=m1, m2=m2,
-        a0=a0, b0=b0, c0=c0, d0=d0, v1=v1, v2=v2, g=g, dg=dg,
-        a0_root=a0_root, d0_root=d0_root,
+        relation=big, s=s, s_perp=sp, d1=d1, d2=d2, m1=m1, m2=m2, e1=e1, e2=e2,
+        a0=a0, b0=b0, c0=c0, d0=d0, a0_root=a0_root, d0_root=d0_root,
+        p1=p1, q1=q1, p2=p2, q2=q2, g_c=g_c, dg_c=dg_c,
     )
-    rep.diagnostics["v1_intertwines"] = kernel.opnorm((v1 @ rep.a0_sqrt - root_amb) @ b1)
-    rep.diagnostics["v2_intertwines"] = kernel.opnorm((v2 @ rep.d0_sqrt - root_amb) @ b2)
-    rep.diagnostics["g_norm_excess"] = max(0.0, kernel.opnorm(g) - 1.0)
+    # V1 a0^{1/2} = A^{1/2} on D1, read in U coordinates; likewise V2
+    rep.diagnostics["v1_intertwines"] = kernel.opnorm(p1 @ q1.conj().T @ a0_root - root @ e1)
+    rep.diagnostics["v2_intertwines"] = kernel.opnorm(p2 @ q2.conj().T @ d0_root - root @ e2)
+    rep.diagnostics["g_norm_excess"] = max(0.0, kernel.opnorm(g_c) - 1.0)
     return rep
 
 

@@ -157,16 +157,18 @@ def hermitian_eig(h, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndar
     h = as_matrix(h)
     if h.shape[0] != h.shape[1]:
         raise DimensionMismatchError(f"square matrix required, got {h.shape}")
-    if h.shape[0] == 0:
-        return np.zeros(0), np.zeros((0, 0), dtype=np.complex128)
+    _require_hermitian(h, tol)
+    return np.linalg.eigh(hermitian_part(h))
+
+
+def _require_hermitian(h: np.ndarray, tol: Tolerances) -> None:
+    """Raise :class:`NotHermitianError` as :func:`hermitian_eig` does."""
     anti = h - h.conj().T
     # eq_abs is the least the bound can be, so a defect within it passes
     if not opnorm_within(anti, tol.eq_abs):
         defect = opnorm(anti)
         if defect > tol.eq_abs * (1.0 + opnorm(h)):
             raise NotHermitianError(f"anti-Hermitian defect {defect:.3e} exceeds tolerance")
-    w, v = np.linalg.eigh(hermitian_part(h))
-    return w, v
 
 
 def rank_cutoff(s: np.ndarray, tol: Tolerances) -> float:
@@ -257,7 +259,12 @@ def _psd_root_and_eigh(h, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, np.n
     to 0, so the eigenvectors with nonzero ``w`` span the root's range.  For
     callers that need the root and the eigenvectors from one ``eigh``.
     """
-    w, v = hermitian_eig(h, tol)
+    return _psd_root_from_eigh(*hermitian_eig(h, tol), tol)
+
+
+def _psd_root_from_eigh(w: np.ndarray, v: np.ndarray,
+                        tol: Tolerances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_psd_root_and_eigh` on the ``eigh`` of a Hermitian matrix already taken."""
     if w.size == 0:
         return np.zeros((0, 0), dtype=np.complex128), w, v
     wmin = float(w[0])

@@ -92,9 +92,21 @@ class NonnegSelfAdjointRelation:
         )
 
     @cached_property
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """One ``eigh`` of A0's Hermitian part: the root and the norm read it."""
+        return np.linalg.eigh(kernel.hermitian_part(self.op_compressed))
+
+    @cached_property
+    def norm(self) -> float:
+        """Operator norm of A0, its largest eigenvalue in absolute value."""
+        return float(np.abs(self._eigh[0]).max(initial=0.0))
+
+    @cached_property
     def _sqrt(self) -> "NonnegSelfAdjointRelation":
-        return NonnegSelfAdjointRelation(
-            self.dom, kernel.psd_sqrt(self.op_compressed, self.tol), self.tol)
+        # kernel.psd_sqrt(A0), its checks included, on the eigh already taken
+        kernel._require_hermitian(self.op_compressed, self.tol)
+        root = kernel._psd_root_from_eigh(*self._eigh, self.tol)[0]
+        return NonnegSelfAdjointRelation(self.dom, root, self.tol)
 
     def sqrt(self) -> "NonnegSelfAdjointRelation":
         """Square root: operator root of A0 plus the untouched mul part."""
@@ -190,17 +202,14 @@ def leq_report(a: NonnegSelfAdjointRelation,
     dom_defect = a.dom.containment_defect(b.dom)
     if dom_defect > tol.eq_abs:
         return False, float(dom_defect)
-    basis = b.dom.basis
-    gb = b.op_compressed
-    ga = _root_gram(a, basis)
-    diff = kernel.hermitian_part(gb - ga)
+    diff = kernel.hermitian_part(b.op_compressed - _root_gram(a, b.dom.basis))
     if diff.shape[0] == 0:
         return True, 0.0
     wmin = float(np.linalg.eigvalsh(diff)[0])
-    slack = tol.eq_abs * (1.0 + kernel.opnorm(gb))
-    if wmin >= -slack:
+    scale = 1.0 + b.norm
+    if wmin >= -tol.eq_abs * scale:
         return True, 0.0
-    return False, -wmin / (1.0 + kernel.opnorm(gb))
+    return False, -wmin / scale
 
 
 def leq(a: NonnegSelfAdjointRelation, b: NonnegSelfAdjointRelation) -> bool:

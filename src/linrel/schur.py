@@ -115,12 +115,12 @@ class SchurResult:
 def schur_analysis(a_rel: NonnegSelfAdjointRelation, s: Subspace) -> SchurResult:
     """Complement and compression of ``a_rel`` by the subspace ``s``, in closed form.
 
-    Both results are forms read off the block analysis: the complement is
-    zero on S and d0^{1/2} Dg^2 d0^{1/2} on D2, with M2 as its multivalued
-    part; the compression is (s_op U)* (s_op U) on dom(A), with
-    s_op = a0^{1/2} + g d0^{1/2}.  The cheap certificates run here: range of
-    the complement, domination of both results by A, and the projector of
-    L.  The relation-calculus certificates are :func:`certify`'s.
+    Both results are forms read off the block analysis, no n x n matrix
+    formed: the complement is zero on S and d0^{1/2} Dg^2 d0^{1/2} on D2,
+    with M2 as its multivalued part; the compression is R* R on dom(A), with
+    R = a0^{1/2} E1* + g d0^{1/2} E2*.  The cheap certificates run here:
+    range of the complement, domination of both results by A, and the
+    projector of L.  The relation-calculus certificates are :func:`certify`'s.
 
     Raises :class:`InvarianceViolatedError` when dom(A) is not invariant
     under the projection onto S, :class:`ComponentMismatchError` when ``s``
@@ -130,18 +130,17 @@ def schur_analysis(a_rel: NonnegSelfAdjointRelation, s: Subspace) -> SchurResult
     """
     tol = a_rel.tol
     rep = analyze(a_rel, s)
-    sp = rep.s_perp
-    n, u = a_rel.dim, a_rel.dom.basis
+    sp, b2 = rep.s_perp, rep.d2.basis
+    n, k = a_rel.dim, a_rel.dom.dim
     diag: dict = {}
 
     # complement: the orthogonal sum of zero on S and the far block
     # d0^{1/2} Dg^2 d0^{1/2} on D2; its domain complement is M2
-    b2 = rep.d2.basis
-    far = kernel.hermitian_part(
-        b2.conj().T @ rep.d0_sqrt @ rep.dg @ rep.dg @ rep.d0_sqrt @ b2)
+    far = kernel.hermitian_part(rep.d0_root @ rep.dg_c @ rep.dg_c @ rep.d0_root)
     schur = NonnegSelfAdjointRelation(
         Subspace(n, np.hstack([s.basis, b2])), np.pad(far, (s.dim, 0)), tol)
-    diag["schur_ran_outside_far"] = float(sp.containment_defect(_form_range(schur)))
+    far_range = np.hstack([b2 @ kernel.orthonormal_columns(far, tol), schur.mul.basis])
+    diag["schur_ran_outside_far"] = float(sp.containment_defect(Subspace(n, far_range)))
     ok, below = leq_report(schur, a_rel)
     diag["schur_below_defect"] = float(below)
     if not ok:
@@ -151,9 +150,9 @@ def schur_analysis(a_rel: NonnegSelfAdjointRelation, s: Subspace) -> SchurResult
 
     # compression: the Gram matrix of the row a^{1/2} P_S + g d^{1/2} P_Sp
     # on dom(A), everywhere defined there, so mul(A) is its multivalued part
-    s_op_u = (rep.a0_sqrt + rep.g @ rep.d0_sqrt) @ u
+    row = rep.a0_root @ rep.e1.conj().T + rep.g_c @ rep.d0_root @ rep.e2.conj().T
     compression = NonnegSelfAdjointRelation(
-        a_rel.dom, kernel.hermitian_part(s_op_u.conj().T @ s_op_u), tol)
+        a_rel.dom, kernel.hermitian_part(row.conj().T @ row), tol)
     ok, below = leq_report(compression, a_rel)
     diag["compression_below_defect"] = float(below)
     if not ok:
@@ -162,12 +161,11 @@ def schur_analysis(a_rel: NonnegSelfAdjointRelation, s: Subspace) -> SchurResult
         )
 
     # pivot space of the projection formula, with its projector identity:
-    # the root's image of D1 is U sqrt(A0) U* D1 plus mul(A), and the
-    # intersection with dom(A) keeps the first term
-    root_image = a_rel.sqrt().op_compressed @ (u.conj().T @ rep.d1.basis)
-    l_space = Subspace(n, u @ kernel.orthonormal_columns(root_image, tol))
-    diag["l_projector_gap"] = float(
-        kernel.opnorm(l_space.projector - rep.v1 @ rep.v1.conj().T))
+    # the root's image of D1 is U sqrt(A0) E1 plus mul(A), and the
+    # intersection with dom(A) keeps the first term; V1's range is U ran(p1)
+    l_basis = kernel.orthonormal_columns(a_rel.sqrt().op_compressed @ rep.e1, tol)
+    l_space = Subspace(n, a_rel.dom.basis @ l_basis)
+    diag["l_projector_gap"] = float(Subspace(k, l_basis).gap(Subspace(k, rep.p1)))
 
     return SchurResult(rep=rep, schur=schur, compression=compression,
                        l_space=l_space, diagnostics=diag)

@@ -123,11 +123,7 @@ class Subspace:
         exactly 0.
         """
         self._check_ambient(other)
-        if self.dim != other.dim:
-            return 1.0
-        if np.array_equal(self.basis, other.basis):
-            return 0.0
-        return self.containment_defect(other)
+        return 1.0 if self.dim != other.dim else self.containment_defect(other)
 
     def equals(self, other: "Subspace", tol: Tolerances = DEFAULT_TOL) -> bool:
         """``gap(other) <= eq_abs``, without computing the gap where it is small."""
@@ -150,9 +146,9 @@ class Subspace:
         return kernel.opnorm_within(self._residual(other), tol.eq_abs)
 
     def containment_defect(self, other: "Subspace") -> float:
-        """Norm of the part of ``other`` sticking out of this subspace."""
+        """Norm of the part of ``other`` sticking out; 0 for the same basis."""
         self._check_ambient(other)
-        return kernel.opnorm(self._residual(other))
+        return 0.0 if np.array_equal(self.basis, other.basis) else kernel.opnorm(self._residual(other))
 
     def _residual(self, other: "Subspace") -> np.ndarray:
         """``(1 - P_self) V`` on the basis V of ``other``, without forming P_self."""

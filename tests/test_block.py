@@ -21,6 +21,7 @@ SPAN_E1 = Subspace.span([E1], 2)
 SPAN_E2 = Subspace.span([E2], 2)
 SQ2 = np.sqrt(2.0)
 CORNERS = {"a", "b", "c", "d", "a_sqrt", "d_sqrt"}
+AMBIENT = {"v1", "v2", "g", "dg", "a0_sqrt", "d0_sqrt"}
 # proper domain and nontrivial multivalued part: every slice is nonzero
 SPLIT_SPEC = InstanceSpec(ambient_dim=6, s_dim=3, d1_dim=2, d2_dim=2, seed=1)
 
@@ -167,8 +168,9 @@ def test_partial_isometry_cuts_at_the_shared_rank(monkeypatch):
     corner = frame.conj().T @ root @ root @ frame
     # the corner's eigenpairs are cut once, as its root cuts them
     _, *eig = kernel._psd_root_and_eigh(corner, tol)
-    w = block._partial_isometry(*eig, frame, root)
+    p, q = block._partial_isometry(*eig, frame, root)
     assert calls == [tol] and calls[0] is tol
+    w = p @ (frame @ q).conj().T
     # an isometry on span{e1, e2}, zero on e3
     assert np.allclose(w.conj().T @ w, np.diag([1.0, 1.0, 0.0]), atol=1e-13)
 
@@ -206,6 +208,29 @@ def test_schur_analysis_builds_no_corner_relation(monkeypatch):
     # coordinates, not as ambient relations
     certify(res)
     assert CORNERS & set(vars(res.rep)) == set()
+
+
+@pytest.mark.parametrize("spec", [SPLIT_SPEC, InstanceSpec(6, 3, 3, 3, seed=1)])
+def test_schur_analysis_builds_no_ambient_matrix(spec):
+    # the block analysis and both closed forms run in the coordinates of
+    # dom(A), D1 and D2; the n x n matrices wait for a consumer that reads them
+    a, s = generate(spec)
+    res = schur_analysis(a, s)
+    assert AMBIENT & set(vars(res.rep)) == set()
+    assert {"op_ambient", "sqrt_ambient"} & set(vars(a)) == set()
+
+
+def test_ambient_matrices_keep_the_paper_identities(battery_analyses):
+    for _, a, _, rep, _ in battery_analyses:
+        root, p_sp = a.sqrt_ambient, rep.s_perp.projector
+        # V1 a^{1/2} = A^{1/2} on D1, V2 d^{1/2} = A^{1/2} on D2
+        assert kernel.opnorm((rep.v1 @ rep.a0_sqrt - root) @ rep.d1.projector) <= 1e-12
+        assert kernel.opnorm((rep.v2 @ rep.d0_sqrt - root) @ rep.d2.projector) <= 1e-12
+        assert kernel.opnorm(rep.g - rep.v1.conj().T @ rep.v2) <= 1e-12
+        # Dg is the defect root of g on S-perp
+        defect = rep.dg @ rep.dg - (p_sp - rep.g.conj().T @ rep.g)
+        assert kernel.opnorm(defect @ p_sp) <= 1e-12
+        assert kernel.opnorm(rep.g) <= 1.0 + 1e-12
 
 
 def test_operator_block_certifies_the_roundtrip(monkeypatch):

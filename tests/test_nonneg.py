@@ -12,12 +12,16 @@ from linrel.errors import (
     NotSymmetricError,
     OrderViolatedError,
 )
-from linrel.kernel import DEFAULT_TOL, opnorm
+from linrel.errors import NotPsdError
+from linrel.generator import InstanceSpec, generate
+from linrel.kernel import DEFAULT_TOL, opnorm, psd_sqrt
 from linrel.nonneg import (
+    NonnegSelfAdjointRelation,
     friedrichs,
     gram,
     gram_with_diagnostics,
     leq,
+    leq_report,
     order_contraction,
     validate,
 )
@@ -88,6 +92,33 @@ def test_sqrt_squares_back(battery):
     for _, a, _ in battery[:40]:
         root = a.sqrt().rel
         assert root.compose(root).graph_gap(a.rel) < 1e-8
+
+
+def _norm_instances(battery, relation_battery):
+    yield from (a for _, a, _ in battery)
+    yield from (gram_with_diagnostics(t)[0] for t in relation_battery[:100])
+    for i, scale in enumerate(np.geomspace(1e-3, 1e3, 25)):
+        yield generate(InstanceSpec(8, 4, 3, 2, seed=i, spectrum_scale=float(scale)))[0]
+    yield NonnegSelfAdjointRelation(Subspace.zero(3), np.zeros((0, 0)), DEFAULT_TOL)
+    yield NonnegSelfAdjointRelation(Subspace.full(3), np.zeros((3, 3)), DEFAULT_TOL)
+
+
+def test_norm_and_root_share_one_eigendecomposition(battery, relation_battery):
+    for a in _norm_instances(battery, relation_battery):
+        want = opnorm(a.op_compressed)
+        assert abs(a.norm - want) <= 1e-14 * max(1.0, want)
+        assert np.array_equal(a.sqrt().op_compressed, psd_sqrt(a.op_compressed, a.tol))
+
+
+def test_leq_report_reads_the_norm_of_a_form_that_is_not_psd():
+    # a hand-built form below -eq_abs: the order test reports, as it did
+    # with the norm taken by opnorm, and only the root raises
+    b = NonnegSelfAdjointRelation(Subspace.full(2), np.diag([1.0, -1.0]), DEFAULT_TOL)
+    a = NonnegSelfAdjointRelation(Subspace.full(2), np.zeros((2, 2)), DEFAULT_TOL)
+    assert b.norm == 1.0
+    assert leq_report(a, b) == (False, 0.5)
+    with pytest.raises(NotPsdError):
+        b.sqrt()
 
 
 def test_scale():

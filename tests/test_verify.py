@@ -224,10 +224,17 @@ def test_schur_analysis_work_budget(monkeypatch):
         return original_svd(m, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    eigvalsh_calls, opnorm_calls = [], []
+    monkeypatch.setattr(np.linalg, "eigvalsh", _counting(np.linalg.eigvalsh, eigvalsh_calls))
+    assert _patch_bindings(monkeypatch, kernel.opnorm, "opnorm",
+                           _counting(kernel.opnorm, opnorm_calls))
 
     # the closed forms take no Gram product, so nothing to validate
     res = schur.schur_analysis(a, s)
     assert len(svd_inputs) <= 4
+    # one eigendecomposition of A0 gives its root and its norm, and the
+    # checks read the block analysis in dom(A) coordinates
+    assert len(eigvalsh_calls) <= 9 and len(opnorm_calls) <= 8
     assert gram_calls == [] and validate_calls == [] and compose_calls == []
     schur.certify(res)
     matrix_2norms = [args for args in norm_calls
